@@ -11,12 +11,10 @@ from __future__ import annotations
 import csv
 import io
 import math
+import statistics
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Callable, Literal, Sequence
-
-import numpy as np
-from scipy.special import betainc
+from typing import Callable, Iterable, Literal, Sequence
 
 from .errors import DomainError
 from .graph import EntityAggregate
@@ -55,6 +53,7 @@ __all__ = [
     "pearson",
     "batch_stats",
     "export_citation_curves",
+    "format_table",
     "render_table",
     "round3",
     "fmt3",
@@ -108,16 +107,17 @@ _SORT_ACCESSORS: dict[str, Callable[[MetricsRow], float]] = {
 }
 
 
-def _ordered(rows: Sequence[MetricsRow], key: SortKey) -> list[MetricsRow]:
-    """Descending by the criterion; ties break on h, then CD, then entity id."""
+def _order(rows: Sequence[MetricsRow], key: SortKey) -> list[int]:
+    """Indices into ``rows``, descending by the criterion; ties break on h,
+    then CD, then entity id, and equal rows keep their input order."""
     value = _SORT_ACCESSORS[key]
     return sorted(
-        rows,
-        key=lambda row: (
-            -value(row),
-            -row.counts.h_index,
-            -row.counts.citable_documents,
-            row.entity_id,
+        range(len(rows)),
+        key=lambda index: (
+            -value(rows[index]),
+            -rows[index].counts.h_index,
+            -rows[index].counts.citable_documents,
+            rows[index].entity_id,
         ),
     )
 
@@ -134,18 +134,23 @@ def rank(rows: Sequence[MetricsRow], key: SortKey = "v_index") -> RankedTable:
         raise DomainError(f"unknown sort key {key!r}")
     if not rows:
         raise DomainError("cannot rank an empty batch")
-    positions: dict[tuple[str, int], int] = {}
-    for criterion in ("cd", "h_index", "v_index"):
-        for pos, row in enumerate(_ordered(rows, criterion), start=1):
-            positions[criterion, id(row)] = pos
+    # Positions are keyed by index in ``rows``, so a row object passed twice
+    # still gets two distinct positions.
+    orders = {criterion: _order(rows, criterion) for criterion in _SORT_ACCESSORS}
+    positions: dict[str, list[int]] = {}
+    for criterion, order in orders.items():
+        slots = [0] * len(rows)
+        for pos, index in enumerate(order, start=1):
+            slots[index] = pos
+        positions[criterion] = slots
     ranked = tuple(
         RankedRow(
-            row=row,
-            rank_by_cd=positions["cd", id(row)],
-            rank_by_h=positions["h_index", id(row)],
-            rank_by_v=positions["v_index", id(row)],
+            row=rows[index],
+            rank_by_cd=positions["cd"][index],
+            rank_by_h=positions["h_index"][index],
+            rank_by_v=positions["v_index"][index],
         )
-        for row in _ordered(rows, key)
+        for index in orders[key]
     )
     return RankedTable(rows=ranked, sort_key=key)
 
@@ -175,15 +180,15 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     n = len(x)
     if n < 3:
         raise DomainError(f"need at least 3 paired observations, got {n}")
-    xs = np.asarray(x, dtype=float)
-    ys = np.asarray(y, dtype=float)
-    xd = xs - xs.mean()
-    yd = ys - ys.mean()
-    sxx = float(xd @ xd)
-    syy = float(yd @ yd)
+    x_mean = math.fsum(x) / n
+    y_mean = math.fsum(y) / n
+    xd = [value - x_mean for value in x]
+    yd = [value - y_mean for value in y]
+    sxx = math.fsum(value * value for value in xd)
+    syy = math.fsum(value * value for value in yd)
     if sxx == 0.0 or syy == 0.0:
         raise DomainError("correlation is undefined when a series is constant")
-    rho = float(xd @ yd) / math.sqrt(sxx * syy)
+    rho = math.fsum(a * b for a, b in zip(xd, yd)) / math.sqrt(sxx * syy)
     rho = max(-1.0, min(1.0, rho))
     dof = n - 2
     if abs(rho) == 1.0:
@@ -192,11 +197,81 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
         p_value = math.nextafter(0.0, 1.0)
     else:
         t_squared = rho * rho * dof / (1.0 - rho * rho)
-        p_value = float(betainc(dof / 2.0, 0.5, dof / (dof + t_squared)))
+        p_value = _betainc(dof / 2.0, 0.5, dof / (dof + t_squared))
         if p_value <= 0.0:
             p_value = math.nextafter(0.0, 1.0)
         p_value = min(p_value, 1.0)
     return CorrelationResult(rho=rho, n=n, p_value=p_value)
+
+
+_TINY = 1e-300
+
+
+def _log_gamma_ratio(small: float, large: float) -> float:
+    """log(Gamma(large) / Gamma(large + small)).
+
+    For large arguments two ``lgamma`` values of ~1e5 would cancel and
+    lose about 1e-10 of relative accuracy, so the difference is taken
+    term by term from Stirling's series instead.
+    """
+    total = large + small
+    if large < 100.0:
+        return math.lgamma(large) - math.lgamma(total)
+
+    def correction(z: float) -> float:
+        # lgamma(z) - [(z - 1/2) log z - z + log(2 pi) / 2]; the next term
+        # is below 1e-20 for z >= 100.
+        w = 1.0 / (z * z)
+        return (1.0 / 12.0 - w * (1.0 / 360.0 - w * (1.0 / 1260.0 - w / 1680.0))) / z
+
+    return (
+        -(total - 0.5) * math.log1p(small / large)
+        - small * math.log(large)
+        + small
+        + correction(large)
+        - correction(total)
+    )
+
+
+def _betainc(a: float, b: float, x: float) -> float:
+    """Regularized incomplete beta I_x(a, b), for a, b > 0 and 0 <= x <= 1.
+
+    Evaluates the continued fraction for I_x(a, b) (Abramowitz & Stegun
+    26.5.8) by the modified Lentz method (Numerical Recipes, section 6.4).
+    The fraction converges fast for x < (a + 1) / (a + b + 2); above that
+    I_x(a, b) = 1 - I_{1-x}(b, a) is used instead. Accurate to about 1e-12
+    relative when one of a, b is at most ~1, which covers the p-values of
+    ``pearson`` (b = 1/2); the tests check n = 3 to 100000 against scipy.
+    """
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _betainc(b, a, 1.0 - x)
+    small, large = min(a, b), max(a, b)
+    log_front = (
+        a * math.log(x)
+        + b * math.log1p(-x)
+        - math.lgamma(small)
+        - _log_gamma_ratio(small, large)
+    )
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > _TINY else _TINY)
+    fraction = d
+    for m in range(1, 10_000):
+        even = m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m))
+        odd = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))
+        for numerator in (even, odd):
+            d = 1.0 + numerator * d
+            d = 1.0 / (d if abs(d) > _TINY else _TINY)
+            c = 1.0 + numerator / c
+            c = c if abs(c) > _TINY else _TINY
+            fraction *= c * d
+        if abs(c * d - 1.0) <= 2.0**-52:
+            break
+    return math.exp(log_front) * fraction / a
 
 
 @dataclass(frozen=True)
@@ -215,14 +290,17 @@ def batch_stats(values: Sequence[float]) -> BatchStats:
     """
     if len(values) == 0:
         raise DomainError("cannot summarize an empty batch")
-    data = np.asarray(values, dtype=float)
-    std_dev = float(data.std(ddof=1)) if data.size > 1 else 0.0
+    data = [float(value) for value in values]
+    mean = statistics.fmean(data)
+    std_dev = 0.0
+    if len(data) > 1:
+        std_dev = math.sqrt(math.fsum((value - mean) ** 2 for value in data) / (len(data) - 1))
     return BatchStats(
-        mean=float(data.mean()),
-        median=float(np.median(data)),
+        mean=mean,
+        median=statistics.median(data),
         std_dev=std_dev,
-        min=float(data.min()),
-        max=float(data.max()),
+        min=min(data),
+        max=max(data),
     )
 
 
@@ -290,6 +368,32 @@ def _table_cells(ranked: RankedRow) -> list[str]:
     ]
 
 
+def format_table(
+    header: Sequence[str], rows: Iterable[Sequence[str]], format: TableFormat = "csv"
+) -> str:
+    """Write a header and rows of string cells as CSV or a Markdown pipe table.
+
+    CSV quotes as RFC 4180 needs and ends every line with a bare newline;
+    Markdown escapes pipes inside body cells.
+    """
+    if format == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return out.getvalue()
+    if format == "markdown":
+        lines = [
+            "| " + " | ".join(header) + " |",
+            "| " + " | ".join("---" for _ in header) + " |",
+        ]
+        for cells in rows:
+            escaped = [cell.replace("|", "\\|") for cell in cells]
+            lines.append("| " + " | ".join(escaped) + " |")
+        return "\n".join(lines) + "\n"
+    raise DomainError(f"unknown table format {format!r}")
+
+
 def render_table(table: RankedTable, format: TableFormat = "csv") -> str:
     """Render a ranked table as CSV or a Markdown pipe table.
 
@@ -297,20 +401,4 @@ def render_table(table: RankedTable, format: TableFormat = "csv") -> str:
     missing h* leaves its cell empty. Equal tables render to identical
     bytes.
     """
-    body = [_table_cells(ranked) for ranked in table.rows]
-    if format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(TABLE_COLUMNS)
-        writer.writerows(body)
-        return out.getvalue()
-    if format == "markdown":
-        lines = [
-            "| " + " | ".join(TABLE_COLUMNS) + " |",
-            "| " + " | ".join("---" for _ in TABLE_COLUMNS) + " |",
-        ]
-        for cells in body:
-            escaped = [cell.replace("|", "\\|") for cell in cells]
-            lines.append("| " + " | ".join(escaped) + " |")
-        return "\n".join(lines) + "\n"
-    raise DomainError(f"unknown table format {format!r}")
+    return format_table(TABLE_COLUMNS, (_table_cells(ranked) for ranked in table.rows), format)

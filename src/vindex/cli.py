@@ -13,8 +13,6 @@ invalid data or usage.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import logging
 import sys
 from dataclasses import dataclass, replace
@@ -165,26 +163,11 @@ def cmd_compare(
         for entity_id, _, _ in entities
     ]
     shifts.sort(key=lambda item: (-abs(item[1] - item[2]), item[0]))
-    header = ("entity_id", "rank_a", "rank_b", "delta")
     rows = [
         (entity_id, str(rank_a), str(rank_b), str(rank_a - rank_b))
         for entity_id, rank_a, rank_b in shifts
     ]
-    if table_format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        text = out.getvalue()
-    else:
-        lines = [
-            "| " + " | ".join(header) + " |",
-            "| " + " | ".join("---" for _ in header) + " |",
-        ]
-        for row in rows:
-            cells = [cell.replace("|", "\\|") for cell in row]
-            lines.append("| " + " | ".join(cells) + " |")
-        text = "\n".join(lines) + "\n"
+    text = analytics.format_table(("entity_id", "rank_a", "rank_b", "delta"), rows, table_format)
     _emit(text, output_path)
     return EXIT_OK
 

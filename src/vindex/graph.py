@@ -19,6 +19,7 @@ import io
 import json
 import logging
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Literal, NamedTuple
@@ -151,13 +152,26 @@ class EntityAggregate:
 # parsing and serialization
 # ---------------------------------------------------------------------------
 
-def _open_lines(source: str | Path | IO | bytes | Iterable[str]) -> tuple[Iterator[str], str | None]:
-    """Turn any reasonable source into an iterator of text lines plus a name."""
+@contextmanager
+def _open_lines(
+    source: str | Path | IO | bytes | Iterable[str], newline: str
+) -> Iterator[tuple[Iterable[str], str | None]]:
+    """Open any reasonable source as text lines, plus a name for messages.
+
+    Paths are streamed. ``newline`` is passed to ``open``: a line feed
+    splits only at line feeds, as JSONL needs, and ``""`` keeps every line
+    ending for ``csv.reader`` to interpret, so quoted newlines survive.
+    Unicode line breaks such as U+2028 never split a line. An iterable of
+    strings is taken as lines already split.
+    """
     if isinstance(source, (str, Path)):
         path = Path(source)
-        return iter(path.read_text(encoding="utf-8").splitlines()), path.name
+        with open(path, encoding="utf-8", newline=newline) as handle:
+            yield handle, path.name
+        return
     if isinstance(source, bytes):
-        return iter(source.decode("utf-8").splitlines()), None
+        yield io.StringIO(source.decode("utf-8"), newline=newline), None
+        return
     if hasattr(source, "read"):
         data = source.read()
         if isinstance(data, bytes):
@@ -167,8 +181,9 @@ def _open_lines(source: str | Path | IO | bytes | Iterable[str]) -> tuple[Iterat
             name = Path(name).name
         else:
             name = None
-        return iter(data.splitlines()), name
-    return iter(source), None
+        yield io.StringIO(data, newline=newline), name
+        return
+    yield source, None
 
 
 def _string_list(value: object, what: str, line: int, source: str | None) -> tuple[str, ...]:
@@ -217,32 +232,33 @@ def ingest_corpus(source: str | Path | IO | bytes | Iterable[str]) -> Corpus:
     """Load a JSONL corpus, one paper object per line.
 
     Accepts a path, an open text or binary file, raw bytes, or an iterable
-    of lines. Blank lines are skipped. A malformed line aborts with
-    CorpusParseError carrying its line number; a duplicate id aborts with
-    CorpusIntegrityError. Self-referencing entries in ``refs`` are stripped
-    with a logged warning, duplicate refs are collapsed, and refs pointing
-    outside the corpus are counted as dangling.
+    of lines. Lines end only at a line feed. Blank lines are skipped. A
+    malformed line aborts with CorpusParseError carrying its line number;
+    a duplicate id aborts with CorpusIntegrityError. Self-referencing
+    entries in ``refs`` are stripped with a logged warning, duplicate refs
+    are collapsed, and refs pointing outside the corpus are counted as
+    dangling.
     """
-    lines, name = _open_lines(source)
     papers: dict[str, Paper] = {}
     stripped_loops = 0
-    for line_no, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
-        try:
-            record = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise CorpusParseError(
-                f"invalid JSON ({exc.msg})", line=line_no, source=name
-            ) from exc
-        paper, loops = _paper_from_record(record, line_no, name)
-        stripped_loops += loops
-        if paper.id in papers:
-            prefix = f"{name}, " if name else ""
-            raise CorpusIntegrityError(
-                f"{prefix}line {line_no}: duplicate paper id {paper.id!r}"
-            )
-        papers[paper.id] = paper
+    with _open_lines(source, "\n") as (lines, name):
+        for line_no, raw in enumerate(lines, start=1):
+            if not raw.strip():
+                continue
+            try:
+                record = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise CorpusParseError(
+                    f"invalid JSON ({exc.msg})", line=line_no, source=name
+                ) from exc
+            paper, loops = _paper_from_record(record, line_no, name)
+            stripped_loops += loops
+            if paper.id in papers:
+                prefix = f"{name}, " if name else ""
+                raise CorpusIntegrityError(
+                    f"{prefix}line {line_no}: duplicate paper id {paper.id!r}"
+                )
+            papers[paper.id] = paper
     if stripped_loops:
         logger.warning("stripped %d self-referencing citation(s)", stripped_loops)
     dangling = sum(1 for p in papers.values() for ref in p.refs if ref not in papers)
@@ -468,66 +484,87 @@ def generate_synthetic_corpus(
 # aggregate CSV interchange
 # ---------------------------------------------------------------------------
 
+def _is_count(text: str) -> bool:
+    """ASCII digits with an optional leading minus. ``int`` alone would also
+    take ``1_0``, other scripts' digits and surrounding spaces."""
+    digits = text[1:] if text.startswith("-") else text
+    return digits.isascii() and digits.isdigit()
+
+
+def _parse_counts(fields: list[str]) -> tuple[int, int, int, int] | None:
+    """The cd, c, sc and h of a five-field row, or None unless every count
+    passes ``_is_count``."""
+    _, cd, c, sc, h = fields
+    if not (_is_count(cd) and _is_count(c) and _is_count(sc) and _is_count(h)):
+        return None
+    return int(cd), int(c), int(sc), int(h)
+
+
 def read_aggregate_csv(
     source: str | Path | IO | bytes | Iterable[str],
 ) -> list[tuple[str, CitationCounts]]:
     """Read pre-aggregated entity rows from CSV.
 
-    The header must be exactly ``entity_id,cd,c,sc,h``. Rows violating the
-    count invariants (negative values, sc > c, h > cd) raise DomainError
-    naming the offending entity; duplicate entities raise
-    CorpusIntegrityError.
+    The header must be exactly ``entity_id,cd,c,sc,h`` and quoting follows
+    RFC 4180. A count that is not ASCII digits (with an optional leading
+    minus) raises CorpusParseError. Rows violating the count invariants
+    (negative values, sc > c, h > cd) raise DomainError naming the
+    offending entity; duplicate entities raise CorpusIntegrityError. Line
+    numbers name the line on which a row ends.
     """
-    lines, name = _open_lines(source)
-    reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise CorpusParseError("empty file, expected a header row", line=1, source=name) from None
-    if header and header[0].startswith("﻿"):
-        header[0] = header[0].lstrip("﻿")
-    if tuple(header) != AGGREGATE_CSV_COLUMNS:
-        raise CorpusParseError(
-            f"header must be exactly {','.join(AGGREGATE_CSV_COLUMNS)!r}, "
-            f"got {','.join(header)!r}",
-            line=1,
-            source=name,
-        )
-    rows: list[tuple[str, CitationCounts]] = []
-    seen: set[str] = set()
-    for line_no, fields in enumerate(reader, start=2):
-        if not fields:
-            continue
-        if len(fields) != len(AGGREGATE_CSV_COLUMNS):
-            raise CorpusParseError(
-                f"expected {len(AGGREGATE_CSV_COLUMNS)} fields, got {len(fields)}",
-                line=line_no,
-                source=name,
-            )
-        entity_id = fields[0]
-        if not entity_id:
-            raise CorpusParseError("entity_id must be non-empty", line=line_no, source=name)
+    with _open_lines(source, "") as (lines, name):
+        reader = csv.reader(lines)
         try:
-            cd, c, sc, h = (int(field) for field in fields[1:])
-        except ValueError:
+            header = next(reader)
+        except StopIteration:
             raise CorpusParseError(
-                f"entity {entity_id!r}: counts must be integers, got {fields[1:]!r}",
-                line=line_no,
-                source=name,
+                "empty file, expected a header row", line=1, source=name
             ) from None
-        if entity_id in seen:
-            prefix = f"{name}, " if name else ""
-            raise CorpusIntegrityError(
-                f"{prefix}line {line_no}: duplicate entity {entity_id!r}"
+        if header and header[0].startswith("\ufeff"):
+            header[0] = header[0].lstrip("\ufeff")
+        if tuple(header) != AGGREGATE_CSV_COLUMNS:
+            raise CorpusParseError(
+                f"header must be exactly {','.join(AGGREGATE_CSV_COLUMNS)!r}, "
+                f"got {','.join(header)!r}",
+                line=1,
+                source=name,
             )
-        seen.add(entity_id)
-        try:
-            counts = CitationCounts(
-                citations_total=c, self_citations=sc, citable_documents=cd, h_index=h
-            )
-        except DomainError as exc:
-            raise DomainError(f"line {line_no}, entity {entity_id!r}: {exc}") from None
-        rows.append((entity_id, counts))
+        rows: list[tuple[str, CitationCounts]] = []
+        seen: set[str] = set()
+        for fields in reader:
+            line_no = reader.line_num
+            if not fields:
+                continue
+            if len(fields) != len(AGGREGATE_CSV_COLUMNS):
+                raise CorpusParseError(
+                    f"expected {len(AGGREGATE_CSV_COLUMNS)} fields, got {len(fields)}",
+                    line=line_no,
+                    source=name,
+                )
+            entity_id = fields[0]
+            if not entity_id:
+                raise CorpusParseError("entity_id must be non-empty", line=line_no, source=name)
+            parsed = _parse_counts(fields)
+            if parsed is None:
+                raise CorpusParseError(
+                    f"entity {entity_id!r}: counts must be integers, got {fields[1:]!r}",
+                    line=line_no,
+                    source=name,
+                )
+            cd, c, sc, h = parsed
+            if entity_id in seen:
+                prefix = f"{name}, " if name else ""
+                raise CorpusIntegrityError(
+                    f"{prefix}line {line_no}: duplicate entity {entity_id!r}"
+                )
+            seen.add(entity_id)
+            try:
+                counts = CitationCounts(
+                    citations_total=c, self_citations=sc, citable_documents=cd, h_index=h
+                )
+            except DomainError as exc:
+                raise DomainError(f"line {line_no}, entity {entity_id!r}: {exc}") from None
+            rows.append((entity_id, counts))
     return rows
 
 
@@ -568,32 +605,33 @@ def audit_corpus(
     """
     _check_mode(mode)
     report = AuditReport()
-    lines, _ = _open_lines(source)
     papers: dict[str, Paper] = {}
     missing_venue = 0
-    for line_no, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
-        try:
-            record = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            report.errors.append(f"line {line_no}: invalid JSON ({exc.msg})")
-            continue
-        try:
-            paper, loops = _paper_from_record(record, line_no, None)
-        except CorpusParseError as exc:
-            report.errors.append(str(exc))
-            continue
-        if loops:
-            report.warnings.append(
-                f"line {line_no}: paper {paper.id!r} cites itself ({loops} entry(ies) stripped)"
-            )
-        if paper.id in papers:
-            report.errors.append(f"line {line_no}: duplicate paper id {paper.id!r}")
-            continue
-        papers[paper.id] = paper
-        if mode == "journal" and paper.venue is None:
-            missing_venue += 1
+    with _open_lines(source, "\n") as (lines, _):
+        for line_no, raw in enumerate(lines, start=1):
+            if not raw.strip():
+                continue
+            try:
+                record = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                report.errors.append(f"line {line_no}: invalid JSON ({exc.msg})")
+                continue
+            try:
+                paper, loops = _paper_from_record(record, line_no, None)
+            except CorpusParseError as exc:
+                report.errors.append(str(exc))
+                continue
+            if loops:
+                report.warnings.append(
+                    f"line {line_no}: paper {paper.id!r} cites itself "
+                    f"({loops} entry(ies) stripped)"
+                )
+            if paper.id in papers:
+                report.errors.append(f"line {line_no}: duplicate paper id {paper.id!r}")
+                continue
+            papers[paper.id] = paper
+            if mode == "journal" and paper.venue is None:
+                missing_venue += 1
     dangling = sum(1 for p in papers.values() for ref in p.refs if ref not in papers)
     if dangling:
         report.warnings.append(
@@ -609,48 +647,51 @@ def audit_corpus(
 def audit_aggregate(source: str | Path | IO | bytes | Iterable[str]) -> AuditReport:
     """Check an aggregate CSV: header, field types, and count invariants."""
     report = AuditReport()
-    lines, _ = _open_lines(source)
-    reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
-        report.errors.append("line 1: empty file, expected a header row")
-        return report
-    if header and header[0].startswith("﻿"):
-        header[0] = header[0].lstrip("﻿")
-    if tuple(header) != AGGREGATE_CSV_COLUMNS:
-        report.errors.append(
-            f"line 1: header must be exactly {','.join(AGGREGATE_CSV_COLUMNS)!r}, "
-            f"got {','.join(header)!r}"
-        )
-        return report
-    seen: set[str] = set()
-    for line_no, fields in enumerate(reader, start=2):
-        if not fields:
-            continue
-        if len(fields) != len(AGGREGATE_CSV_COLUMNS):
-            report.errors.append(
-                f"line {line_no}: expected {len(AGGREGATE_CSV_COLUMNS)} fields, "
-                f"got {len(fields)}"
-            )
-            continue
-        entity_id = fields[0]
-        if not entity_id:
-            report.errors.append(f"line {line_no}: entity_id must be non-empty")
-            continue
+    with _open_lines(source, "") as (lines, _):
+        reader = csv.reader(lines)
         try:
-            cd, c, sc, h = (int(field) for field in fields[1:])
-        except ValueError:
+            header = next(reader)
+        except StopIteration:
+            report.errors.append("line 1: empty file, expected a header row")
+            return report
+        if header and header[0].startswith("\ufeff"):
+            header[0] = header[0].lstrip("\ufeff")
+        if tuple(header) != AGGREGATE_CSV_COLUMNS:
             report.errors.append(
-                f"line {line_no}: entity {entity_id!r}: counts must be integers"
+                f"line 1: header must be exactly {','.join(AGGREGATE_CSV_COLUMNS)!r}, "
+                f"got {','.join(header)!r}"
             )
-            continue
-        if entity_id in seen:
-            report.errors.append(f"line {line_no}: duplicate entity {entity_id!r}")
-            continue
-        seen.add(entity_id)
-        try:
-            CitationCounts(citations_total=c, self_citations=sc, citable_documents=cd, h_index=h)
-        except DomainError as exc:
-            report.errors.append(f"line {line_no}: entity {entity_id!r}: {exc}")
+            return report
+        seen: set[str] = set()
+        for fields in reader:
+            line_no = reader.line_num
+            if not fields:
+                continue
+            if len(fields) != len(AGGREGATE_CSV_COLUMNS):
+                report.errors.append(
+                    f"line {line_no}: expected {len(AGGREGATE_CSV_COLUMNS)} fields, "
+                    f"got {len(fields)}"
+                )
+                continue
+            entity_id = fields[0]
+            if not entity_id:
+                report.errors.append(f"line {line_no}: entity_id must be non-empty")
+                continue
+            parsed = _parse_counts(fields)
+            if parsed is None:
+                report.errors.append(
+                    f"line {line_no}: entity {entity_id!r}: counts must be integers"
+                )
+                continue
+            cd, c, sc, h = parsed
+            if entity_id in seen:
+                report.errors.append(f"line {line_no}: duplicate entity {entity_id!r}")
+                continue
+            seen.add(entity_id)
+            try:
+                CitationCounts(
+                    citations_total=c, self_citations=sc, citable_documents=cd, h_index=h
+                )
+            except DomainError as exc:
+                report.errors.append(f"line {line_no}: entity {entity_id!r}: {exc}")
     return report

@@ -4,15 +4,19 @@ from __future__ import annotations
 
 import math
 import random
+import statistics
 
 import pytest
+import scipy.special
 import scipy.stats
 
 from vindex.analytics import (
     TABLE_COLUMNS,
+    _betainc,
     batch_stats,
     export_citation_curves,
     fmt3,
+    format_table,
     pearson,
     rank,
     render_table,
@@ -140,6 +144,16 @@ def test_rank_sort_key_changes_row_order_only():
     assert [item.row.entity_id for item in by_cd.rows] == ["a", "b"]
 
 
+def test_rank_gives_a_repeated_row_object_distinct_positions():
+    row = make_row("twice", 10, 100, 20, 5)
+    other = make_row("once", 3, 9, 0, 2)
+    table = rank([row, other, row], "v_index")
+    assert [item.row.entity_id for item in table.rows] == ["twice", "twice", "once"]
+    for attribute in ("rank_by_cd", "rank_by_h", "rank_by_v"):
+        assert sorted(getattr(item, attribute) for item in table.rows) == [1, 2, 3]
+    assert [item.rank_by_v for item in table.rows] == [1, 2, 3]
+
+
 def test_rank_rejects_empty_and_unknown_key():
     with pytest.raises(DomainError):
         rank([], "v_index")
@@ -224,6 +238,67 @@ def test_pearson_matches_scipy_reference():
         assert mine.p_value == pytest.approx(reference_p, rel=1e-8, abs=1e-300)
 
 
+def _correlated(seed, n, noise):
+    rng = random.Random(seed)
+    x = [rng.gauss(0, 1) for _ in range(n)]
+    return x, [value + rng.gauss(0, noise) for value in x]
+
+
+@pytest.mark.parametrize(
+    "n, noise, low, high",
+    [
+        (310, 1.0, 1e-52, 1e-47),  # p ~ 1e-50
+        (1200, 0.9, 1e-210, 1e-200),  # p ~ 1e-205
+        (100_000, 20.0, 1e-70, 1e-55),
+    ],
+)
+def test_pearson_matches_scipy_for_tiny_p(n, noise, low, high):
+    x, y = _correlated(7, n, noise)
+    reference_rho, reference_p = scipy.stats.pearsonr(x, y)
+    assert low < reference_p < high
+    mine = pearson(x, y)
+    assert mine.rho == pytest.approx(reference_rho, rel=1e-12)
+    assert mine.p_value == pytest.approx(reference_p, rel=1e-10)
+
+
+@pytest.mark.parametrize("seed", [13, 18])
+def test_pearson_matches_scipy_for_p_near_one(seed):
+    rng = random.Random(seed)
+    x = [rng.gauss(0, 1) for _ in range(500)]
+    y = [rng.gauss(0, 1) for _ in range(500)]
+    reference_rho, reference_p = scipy.stats.pearsonr(x, y)
+    assert reference_p > 0.95
+    mine = pearson(x, y)
+    assert mine.rho == pytest.approx(reference_rho, rel=1e-10, abs=1e-15)
+    assert mine.p_value == pytest.approx(reference_p, rel=1e-10)
+
+
+def test_betainc_matches_scipy_over_pearson_arguments():
+    # The p-value of pearson is I_x(nu/2, 1/2) at x = nu / (nu + t^2).
+    worst = 0.0
+    for n in (3, 4, 5, 7, 10, 20, 50, 100, 250, 1000, 5000, 20_000, 50_000, 100_000):
+        dof = n - 2
+        for exponent in range(-12, 13):
+            for mantissa in (1.0, 2.5, 6.0):
+                t_squared = mantissa * 10.0**exponent
+                x = dof / (dof + t_squared)
+                reference = float(scipy.special.betainc(dof / 2.0, 0.5, x))
+                if reference < 1e-300:
+                    continue
+                worst = max(worst, abs(_betainc(dof / 2.0, 0.5, x) - reference) / reference)
+    assert worst <= 1e-10
+
+
+def test_betainc_edges_and_symmetry():
+    assert _betainc(3.0, 0.5, 0.0) == 0.0
+    assert _betainc(3.0, 0.5, 1.0) == 1.0
+    for a, b, x in [(2.0, 3.0, 0.3), (0.5, 40.0, 0.01), (7.5, 0.5, 0.97)]:
+        assert _betainc(a, b, x) + _betainc(b, a, 1.0 - x) == pytest.approx(1.0, rel=1e-14)
+        assert _betainc(a, b, x) == pytest.approx(
+            float(scipy.special.betainc(a, b, x)), rel=1e-12
+        )
+
+
 def test_pearson_p_decreases_with_correlation_strength():
     # same n, tighter correlation, smaller p
     x = list(range(10))
@@ -277,6 +352,25 @@ def test_batch_stats_single_value():
 
 def test_batch_stats_odd_median():
     assert batch_stats([9.0, 1.0, 5.0]).median == 5.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 101, 5000])
+def test_batch_stats_matches_statistics(n):
+    rng = random.Random(n)
+    values = [rng.lognormvariate(0, 2) for _ in range(n)]
+    stats = batch_stats(values)
+    assert stats.mean == pytest.approx(statistics.fmean(values), rel=1e-12)
+    assert stats.median == pytest.approx(statistics.median(values), rel=1e-12)
+    assert stats.std_dev == pytest.approx(statistics.stdev(values), rel=1e-12)
+    assert (stats.min, stats.max) == (min(values), max(values))
+
+
+def test_batch_stats_returns_floats_for_integers():
+    stats = batch_stats([3, 1, 2])
+    assert all(
+        type(value) is float
+        for value in (stats.mean, stats.median, stats.std_dev, stats.min, stats.max)
+    )
 
 
 def test_batch_stats_empty():
@@ -381,6 +475,17 @@ def test_render_table_unknown_format():
     rows = [make_row("a", 1, 1, 0, 1)]
     with pytest.raises(DomainError):
         render_table(rank(rows, "v_index"), "html")
+
+
+def test_format_table_csv_and_markdown():
+    header = ("name", "n")
+    rows = [("a|b", "1"), ("x, y", "2")]
+    assert format_table(header, rows, "csv") == 'name,n\na|b,1\n"x, y",2\n'
+    assert format_table(header, rows, "markdown") == (
+        "| name | n |\n| --- | --- |\n| a\\|b | 1 |\n| x, y | 2 |\n"
+    )
+    with pytest.raises(DomainError):
+        format_table(header, rows, "html")
 
 
 def test_render_table_is_deterministic():

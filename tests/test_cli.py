@@ -7,8 +7,14 @@ codes and captured streams without paying interpreter startup per case.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import vindex
 
 from vindex.analytics import TABLE_COLUMNS
 from vindex.cli import EXIT_DATA, EXIT_OK, EXIT_READ, main
@@ -214,6 +220,22 @@ def test_validate_aggregate(aggregate_path, tmp_path, capsys):
     assert "worst" in out
 
 
+def test_validate_aggregate_rejects_non_ascii_count_syntax(tmp_path, capsys):
+    path = tmp_path / "counts.csv"
+    path.write_text(
+        "entity_id,cd,c,sc,h\nUnderscore,1_0,20,5,3\nArabicDigit,\u0665,20,5,3\n",
+        encoding="utf-8",
+    )
+    code = main(["validate", "--input", str(path), "--kind", "aggregate"])
+    out = capsys.readouterr().out
+    assert code == EXIT_DATA
+    assert out.splitlines() == [
+        "error: line 2: entity 'Underscore': counts must be integers",
+        "error: line 3: entity 'ArabicDigit': counts must be integers",
+        "2 error(s), 0 warning(s)",
+    ]
+
+
 def test_validate_missing_file(tmp_path, capsys):
     code = main(["validate", "--input", str(tmp_path / "absent.csv")])
     assert code == EXIT_READ
@@ -366,3 +388,20 @@ def test_compare_aggregate_input(aggregate_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "entity_id,rank_a,rank_b,delta"
     assert len(lines) == 9
+
+
+# ---------------------------------------------------------------------------
+# runtime dependencies
+# ---------------------------------------------------------------------------
+
+def test_import_loads_no_numpy_or_scipy():
+    src = str(Path(vindex.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import sys, vindex, vindex.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

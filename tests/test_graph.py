@@ -85,6 +85,27 @@ def test_ingest_accepts_bytes_and_file_objects():
     assert len(ingest_corpus(io.StringIO(HANDMADE))) == 4
 
 
+def test_ingest_keeps_a_raw_u2028_inside_a_string(tmp_path):
+    records = [
+        {"id": "q1", "authors": ["Line\u2028Separator"], "refs": []},
+        {"id": "q2", "authors": ["Next\u0085Line"], "refs": ["q1"]},
+    ]
+    text = "".join(json.dumps(record, ensure_ascii=False) + "\n" for record in records)
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(text, encoding="utf-8")
+    for source in (path, text.encode("utf-8"), io.StringIO(text)):
+        corpus = ingest_corpus(source)
+        assert corpus.paper("q1").authors == ("Line\u2028Separator",)
+        assert corpus.paper("q2").authors == ("Next\u0085Line",)
+    assert audit_corpus(path).errors == []
+
+
+def test_ingest_accepts_crlf_line_endings(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(HANDMADE.replace("\n", "\r\n").encode("utf-8"))
+    assert serialize_corpus(ingest_corpus(path)) == HANDMADE
+
+
 def test_ingest_skips_blank_lines():
     text = '{"id": "p1", "authors": ["a"]}\n\n   \n{"id": "p2", "authors": ["b"]}\n'
     assert len(ingest_corpus(text.splitlines())) == 2
@@ -486,6 +507,44 @@ def test_aggregate_csv_rejects_duplicates():
 def test_aggregate_csv_rejects_short_rows():
     with pytest.raises(CorpusParseError):
         read_aggregate_csv(["entity_id,cd,c,sc,h", "x,1,1"])
+
+
+@pytest.mark.parametrize("count", ["1_0", "\u0665", " 5", "+5", "5.0"])
+def test_aggregate_csv_counts_are_ascii_digits_only(count):
+    lines = ["entity_id,cd,c,sc,h", f"x,{count},20,5,3"]
+    with pytest.raises(CorpusParseError) as excinfo:
+        read_aggregate_csv(lines)
+    assert "line 2" in str(excinfo.value)
+    assert audit_aggregate(lines).errors == [
+        "line 2: entity 'x': counts must be integers"
+    ]
+
+
+def test_aggregate_csv_negative_count_is_a_domain_error():
+    with pytest.raises(DomainError) as excinfo:
+        read_aggregate_csv(["entity_id,cd,c,sc,h", "x,-1,20,5,3"])
+    assert "line 2" in str(excinfo.value)
+
+
+def test_aggregate_csv_keeps_a_quoted_newline(tmp_path):
+    text = 'entity_id,cd,c,sc,h\n"Multi\nLine",3,10,2,2\nSingle,4,20,5,3\n'
+    path = tmp_path / "agg.csv"
+    path.write_text(text, encoding="utf-8")
+    for source in (path, text.encode("utf-8"), io.StringIO(text, newline="")):
+        rows = read_aggregate_csv(source)
+        assert [entity for entity, _ in rows] == ["Multi\nLine", "Single"]
+    assert audit_aggregate(path).ok
+
+
+def test_aggregate_csv_reports_physical_line_numbers(tmp_path):
+    path = tmp_path / "agg.csv"
+    path.write_text(
+        'entity_id,cd,c,sc,h\n"Multi\nLine",3,10,2,2\nbad,1,x,0,1\n', encoding="utf-8"
+    )
+    with pytest.raises(CorpusParseError) as excinfo:
+        read_aggregate_csv(path)
+    assert "line 4" in str(excinfo.value)
+    assert audit_aggregate(path).errors[0].startswith("line 4:")
 
 
 # ---------------------------------------------------------------------------
