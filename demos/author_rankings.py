@@ -16,7 +16,6 @@ Run from the repository root:
 from __future__ import annotations
 
 import csv
-from dataclasses import replace
 from pathlib import Path
 
 from vindex.analytics import batch_stats, pearson, rank, render_table
@@ -37,7 +36,7 @@ def load_author_rows():
                 h_index=int(record["h"]),
             )
             h_star = int(record["h_star"])
-            row = replace(metrics_row(record["entity_id"], counts), h_star=h_star)
+            row = metrics_row(record["entity_id"], counts, h_star=h_star)
             rows.append(row)
             h_star_by_author[record["entity_id"]] = h_star
     return rows, h_star_by_author

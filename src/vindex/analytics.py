@@ -374,7 +374,8 @@ def format_table(
     """Write a header and rows of string cells as CSV or a Markdown pipe table.
 
     CSV quotes as RFC 4180 needs and ends every line with a bare newline;
-    Markdown escapes pipes inside body cells.
+    Markdown escapes pipes inside body cells and writes each line break in
+    a cell (CRLF, CR or LF) as ``<br>``, so every row stays on one line.
     """
     if format == "csv":
         out = io.StringIO()
@@ -388,8 +389,12 @@ def format_table(
             "| " + " | ".join("---" for _ in header) + " |",
         ]
         for cells in rows:
-            escaped = [cell.replace("|", "\\|") for cell in cells]
-            lines.append("| " + " | ".join(escaped) + " |")
+            line = "| " + " | ".join([cell.replace("|", "\\|") for cell in cells]) + " |"
+            # The separators hold no line break, so the whole line can be
+            # rewritten at once.
+            if "\n" in line or "\r" in line:
+                line = line.replace("\r\n", "<br>").replace("\r", "<br>").replace("\n", "<br>")
+            lines.append(line)
         return "\n".join(lines) + "\n"
     raise DomainError(f"unknown table format {format!r}")
 

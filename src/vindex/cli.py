@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal, Sequence
 
@@ -90,7 +90,7 @@ def _metric_rows(
     weight: metrics.WeightFunction,
 ) -> list[metrics.MetricsRow]:
     return [
-        replace(metrics.metrics_row(entity_id, counts, weight), h_star=h_star)
+        metrics.metrics_row(entity_id, counts, weight, h_star)
         for entity_id, counts, h_star in entities
     ]
 

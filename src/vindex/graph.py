@@ -155,45 +155,94 @@ class EntityAggregate:
 @contextmanager
 def _open_lines(
     source: str | Path | IO | bytes | Iterable[str], newline: str
-) -> Iterator[tuple[Iterable[str], str | None]]:
-    """Open any reasonable source as text lines, plus a name for messages.
+) -> Iterator[tuple[Iterable[str | bytes], str | None]]:
+    """Open any reasonable source as lines, plus a name for messages.
 
-    Paths are streamed. ``newline`` is passed to ``open``: a line feed
-    splits only at line feeds, as JSONL needs, and ``""`` keeps every line
-    ending for ``csv.reader`` to interpret, so quoted newlines survive.
-    Unicode line breaks such as U+2028 never split a line. An iterable of
-    strings is taken as lines already split.
+    Paths are streamed. Paths, bytes and binary files give undecoded byte
+    lines split only at line feeds; the readers decode each line with
+    ``_decode``, so an invalid byte is reported with its line number. Text
+    is split as ``open`` splits it with ``newline``: a line feed splits
+    only at line feeds, as JSONL needs, and ``""`` keeps every line ending
+    for ``csv.reader`` to interpret, so quoted newlines survive. Unicode
+    line breaks such as U+2028 never split a line. An iterable of strings
+    is taken as lines already split.
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
-        with open(path, encoding="utf-8", newline=newline) as handle:
+        with open(path, "rb") as handle:
             yield handle, path.name
         return
     if isinstance(source, bytes):
-        yield io.StringIO(source.decode("utf-8"), newline=newline), None
+        yield io.BytesIO(source), None
         return
     if hasattr(source, "read"):
         data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
         name = getattr(source, "name", None)
         if isinstance(name, str) and not name.startswith("<"):
             name = Path(name).name
         else:
             name = None
-        yield io.StringIO(data, newline=newline), name
+        if isinstance(data, bytes):
+            yield io.BytesIO(data), name
+        else:
+            yield io.StringIO(data, newline=newline), name
         return
     yield source, None
 
 
-def _string_list(value: object, what: str, line: int, source: str | None) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(
-        isinstance(item, str) and item for item in value
-    ):
+def _decode(raw: str | bytes, line: int, source: str | None) -> str:
+    """One input line as text; a byte line must be valid UTF-8."""
+    if isinstance(raw, str):
+        return raw
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusParseError(
+            f"invalid UTF-8 at byte {exc.start + 1} ({exc.reason})", line=line, source=source
+        ) from None
+
+
+def _csv_lines(
+    lines: Iterable[str | bytes], source: str | None, bad: list[CorpusParseError]
+) -> Iterator[str]:
+    """Text lines for ``csv.reader``, split where text mode with
+    ``newline=""`` splits them: a byte line is split again at bare carriage
+    returns and decoded. An undecodable line goes into ``bad`` and on to the
+    reader with replacement characters, so the reader keeps its place and
+    the caller can reject the row it lands in."""
+    line_no = 0
+    for chunk in lines:
+        if isinstance(chunk, str):
+            line_no += 1
+            yield chunk
+            continue
+        try:
+            text = chunk.decode("utf-8")
+        except UnicodeDecodeError:
+            pass
+        else:
+            if "\r" not in text:
+                line_no += 1
+                yield text
+                continue
+        for piece in chunk.splitlines(keepends=True):
+            line_no += 1
+            try:
+                text = _decode(piece, line_no, source)
+            except CorpusParseError as exc:
+                bad.append(exc)
+                text = piece.decode("utf-8", "replace")
+            yield text
+
+
+def _string_list(value: object, what: str, line: int, source: str | None) -> list[str]:
+    # ``json.loads`` makes exact lists and strs, never subclasses, so
+    # comparing exact types checks every item in C.
+    if type(value) is not list or "" in value or not {str}.issuperset(map(type, value)):
         raise CorpusParseError(
             f"{what} must be a list of non-empty strings", line=line, source=source
         )
-    return tuple(value)
+    return value
 
 
 def _paper_from_record(record: object, line: int, source: str | None) -> tuple[Paper, int]:
@@ -206,7 +255,7 @@ def _paper_from_record(record: object, line: int, source: str | None) -> tuple[P
         raise CorpusParseError("'id' must be a non-empty string", line=line, source=source)
     if "authors" not in record:
         raise CorpusParseError(f"paper {paper_id!r} has no 'authors'", line=line, source=source)
-    authors = _string_list(record["authors"], "'authors'", line, source)
+    authors = tuple(_string_list(record["authors"], "'authors'", line, source))
     if not authors:
         raise CorpusParseError(
             f"paper {paper_id!r} needs at least one author", line=line, source=source
@@ -219,12 +268,13 @@ def _paper_from_record(record: object, line: int, source: str | None) -> tuple[P
     year = record.get("year")
     if year is not None and (isinstance(year, bool) or not isinstance(year, int)):
         raise CorpusParseError("'year' must be an integer", line=line, source=source)
-    raw_refs = record.get("refs", [])
-    refs = _string_list(raw_refs, "'refs'", line, source)
-    deduped = tuple(dict.fromkeys(refs))
-    self_loops = sum(1 for ref in deduped if ref == paper_id)
-    cleaned = tuple(ref for ref in deduped if ref != paper_id)
-    paper = Paper(id=paper_id, authors=authors, venue=venue, year=year, refs=cleaned)
+    refs = dict.fromkeys(_string_list(record.get("refs", []), "'refs'", line, source))
+    # Collapsing duplicates leaves at most one self-reference.
+    self_loops = 0
+    if paper_id in refs:
+        del refs[paper_id]
+        self_loops = 1
+    paper = Paper(id=paper_id, authors=authors, venue=venue, year=year, refs=tuple(refs))
     return paper, self_loops
 
 
@@ -243,10 +293,11 @@ def ingest_corpus(source: str | Path | IO | bytes | Iterable[str]) -> Corpus:
     stripped_loops = 0
     with _open_lines(source, "\n") as (lines, name):
         for line_no, raw in enumerate(lines, start=1):
-            if not raw.strip():
+            text = _decode(raw, line_no, name)
+            if not text.strip():
                 continue
             try:
-                record = json.loads(raw)
+                record = json.loads(text)
             except json.JSONDecodeError as exc:
                 raise CorpusParseError(
                     f"invalid JSON ({exc.msg})", line=line_no, source=name
@@ -292,12 +343,12 @@ def _check_mode(mode: str) -> None:
         raise DomainError(f"unknown entity mode {mode!r}; expected 'author' or 'journal'")
 
 
-def _is_self_edge(citing: Paper, cited: Paper, mode: Mode) -> bool:
+def _is_self_edge(mine: frozenset[str], venue: str | None, cited: Paper, mode: Mode) -> bool:
+    """The self-citation rule, for an edge to ``cited`` from a paper with
+    the author set ``mine`` and the venue ``venue``."""
     if mode == "author":
-        return bool(set(citing.authors) & set(cited.authors))
-    if citing.venue is None or cited.venue is None:
-        return False
-    return citing.venue == cited.venue
+        return not mine.isdisjoint(cited.authors)
+    return venue is not None and venue == cited.venue
 
 
 def classify_citation(corpus: Corpus, citing_id: str, cited_id: str, mode: Mode) -> CitationClass:
@@ -313,8 +364,9 @@ def classify_citation(corpus: Corpus, citing_id: str, cited_id: str, mode: Mode)
     cited = corpus.paper(cited_id)
     if cited_id not in citing.refs:
         raise DomainError(f"paper {citing_id!r} does not cite {cited_id!r}")
+    mine = frozenset(citing.authors)
     label: Literal["self", "genuine"] = (
-        "self" if _is_self_edge(citing, cited, mode) else "genuine"
+        "self" if _is_self_edge(mine, citing.venue, cited, mode) else "genuine"
     )
     return CitationClass(citing=citing_id, cited=cited_id, label=label, mode=mode)
 
@@ -323,19 +375,24 @@ def _received_counts(corpus: Corpus, mode: Mode) -> dict[str, tuple[int, int]]:
     """Per paper id: (citations received, the subset classified self).
 
     One pass over every in-corpus edge; dangling refs are skipped here.
+    The citing paper's author set and venue are read once for all its refs.
     """
-    received: dict[str, list[int]] = {pid: [0, 0] for pid in corpus.papers}
+    papers = corpus.papers
+    received: dict[str, list[int]] = {pid: [0, 0] for pid in papers}
+    journal = mode == "journal"
     missing_venue_edges = 0
-    for citing in corpus:
+    for citing in papers.values():
+        mine = frozenset() if journal else frozenset(citing.authors)
+        venue = citing.venue
         for ref in citing.refs:
-            cited = corpus.papers.get(ref)
+            cited = papers.get(ref)
             if cited is None:
                 continue
             entry = received[ref]
             entry[0] += 1
-            if mode == "journal" and (citing.venue is None or cited.venue is None):
+            if journal and (venue is None or cited.venue is None):
                 missing_venue_edges += 1
-            elif _is_self_edge(citing, cited, mode):
+            elif _is_self_edge(mine, venue, cited, mode):
                 entry[1] += 1
     if missing_venue_edges:
         logger.warning(
@@ -512,14 +569,17 @@ def read_aggregate_csv(
     offending entity; duplicate entities raise CorpusIntegrityError. Line
     numbers name the line on which a row ends.
     """
+    bad: list[CorpusParseError] = []
     with _open_lines(source, "") as (lines, name):
-        reader = csv.reader(lines)
+        reader = csv.reader(_csv_lines(lines, name, bad))
         try:
             header = next(reader)
         except StopIteration:
             raise CorpusParseError(
                 "empty file, expected a header row", line=1, source=name
             ) from None
+        if bad:
+            raise bad[0]
         if header and header[0].startswith("\ufeff"):
             header[0] = header[0].lstrip("\ufeff")
         if tuple(header) != AGGREGATE_CSV_COLUMNS:
@@ -533,6 +593,8 @@ def read_aggregate_csv(
         seen: set[str] = set()
         for fields in reader:
             line_no = reader.line_num
+            if bad:
+                raise bad[0]
             if not fields:
                 continue
             if len(fields) != len(AGGREGATE_CSV_COLUMNS):
@@ -609,10 +671,15 @@ def audit_corpus(
     missing_venue = 0
     with _open_lines(source, "\n") as (lines, _):
         for line_no, raw in enumerate(lines, start=1):
-            if not raw.strip():
+            try:
+                text = _decode(raw, line_no, None)
+            except CorpusParseError as exc:
+                report.errors.append(str(exc))
+                continue
+            if not text.strip():
                 continue
             try:
-                record = json.loads(raw)
+                record = json.loads(text)
             except json.JSONDecodeError as exc:
                 report.errors.append(f"line {line_no}: invalid JSON ({exc.msg})")
                 continue
@@ -647,12 +714,16 @@ def audit_corpus(
 def audit_aggregate(source: str | Path | IO | bytes | Iterable[str]) -> AuditReport:
     """Check an aggregate CSV: header, field types, and count invariants."""
     report = AuditReport()
+    bad: list[CorpusParseError] = []
     with _open_lines(source, "") as (lines, _):
-        reader = csv.reader(lines)
+        reader = csv.reader(_csv_lines(lines, None, bad))
         try:
             header = next(reader)
         except StopIteration:
             report.errors.append("line 1: empty file, expected a header row")
+            return report
+        if bad:
+            report.errors.extend(map(str, bad))
             return report
         if header and header[0].startswith("\ufeff"):
             header[0] = header[0].lstrip("\ufeff")
@@ -665,6 +736,10 @@ def audit_aggregate(source: str | Path | IO | bytes | Iterable[str]) -> AuditRep
         seen: set[str] = set()
         for fields in reader:
             line_no = reader.line_num
+            if bad:
+                report.errors.extend(map(str, bad))
+                bad.clear()
+                continue
             if not fields:
                 continue
             if len(fields) != len(AGGREGATE_CSV_COLUMNS):

@@ -294,14 +294,14 @@ def metrics_row(
     entity_id: str,
     counts: CitationCounts,
     weight: WeightFunction = _DEFAULT_WEIGHT,
+    h_star: int | None = None,
 ) -> MetricsRow:
     """Assemble the full metric set for one entity from its aggregate counts.
 
     The ratio column is v_index / h, a direct read of how much the discount
     cost the entity; h = 0 leaves nothing to discount, so the ratio is 1
-    there. ``h_star`` stays None because it cannot be derived from aggregate
-    counts; pipelines that own the citation graph attach it afterwards with
-    ``dataclasses.replace``.
+    there. ``h_star`` cannot be derived from aggregate counts: pipelines
+    that own the citation graph pass it in, and it is None otherwise.
     """
     rate = v_rate(counts.citations_total, counts.self_citations)
     index = generalized_v_index(counts.h_index, rate, weight)
@@ -316,4 +316,5 @@ def metrics_row(
         ),
         v_index=index,
         ratio=ratio,
+        h_star=h_star,
     )

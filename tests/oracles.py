@@ -20,39 +20,35 @@ def brute_h(counts) -> int:
     return best
 
 
-def author_aggregates_from_jsonl(text: str) -> dict[str, dict[str, int]]:
-    """Recompute every author's (cd, c, sc, h, h_star) from serialized JSONL.
+def _read(text: str) -> tuple[list[dict], dict[str, dict], dict[str, list[str]]]:
+    """Records, records by id, and the ids citing each paper.
 
-    Self-citations follow the author-set intersection rule. The filtered h
-    (h_star) is the brute h over per-paper counts with self-citations
-    removed, which is the h-index of the graph with self-citation edges
-    deleted.
+    A repeated ref is one citation, a paper never cites itself, and refs
+    to ids outside the text are ignored.
     """
-    papers = [json.loads(line) for line in text.splitlines() if line.strip()]
+    papers = [json.loads(line) for line in text.split("\n") if line.strip()]
     by_id = {paper["id"]: paper for paper in papers}
     incoming: dict[str, list[str]] = {pid: [] for pid in by_id}
     for paper in papers:
-        for ref in paper.get("refs", []):
+        for ref in dict.fromkeys(paper.get("refs", [])):
             if ref in by_id and ref != paper["id"]:
                 incoming[ref].append(paper["id"])
-    owners: dict[str, list[dict]] = {}
-    for paper in papers:
-        for author in dict.fromkeys(paper["authors"]):
-            owners.setdefault(author, []).append(paper)
+    return papers, by_id, incoming
+
+
+def _tally(owners, by_id, incoming, is_self) -> dict[str, dict[str, int]]:
+    """Each owner's (cd, c, sc, h, h_star); ``is_self(citing, cited)``
+    labels one edge."""
     result: dict[str, dict[str, int]] = {}
-    for author, owned in owners.items():
+    for entity, owned in owners.items():
         gross: list[int] = []
         net: list[int] = []
         for target in owned:
             citers = incoming[target["id"]]
-            self_edges = sum(
-                1
-                for citing_id in citers
-                if set(by_id[citing_id]["authors"]) & set(target["authors"])
-            )
+            self_edges = sum(1 for citing_id in citers if is_self(by_id[citing_id], target))
             gross.append(len(citers))
             net.append(len(citers) - self_edges)
-        result[author] = {
+        result[entity] = {
             "cd": len(owned),
             "c": sum(gross),
             "sc": sum(gross) - sum(net),
@@ -60,3 +56,44 @@ def author_aggregates_from_jsonl(text: str) -> dict[str, dict[str, int]]:
             "h_star": brute_h(net),
         }
     return result
+
+
+def author_aggregates_from_jsonl(text: str) -> dict[str, dict[str, int]]:
+    """Recompute every author's (cd, c, sc, h, h_star) from serialized JSONL.
+
+    Self-citations follow the author-set intersection rule. The filtered h
+    (h_star) is the brute h over per-paper counts with self-citations
+    removed, which is the h-index of the graph with self-citation edges
+    deleted. A name given twice in one team owns the paper once.
+    """
+    papers, by_id, incoming = _read(text)
+    owners: dict[str, list[dict]] = {}
+    for paper in papers:
+        for author in dict.fromkeys(paper["authors"]):
+            owners.setdefault(author, []).append(paper)
+    return _tally(
+        owners,
+        by_id,
+        incoming,
+        lambda citing, cited: bool(set(citing["authors"]) & set(cited["authors"])),
+    )
+
+
+def journal_aggregates_from_jsonl(text: str) -> dict[str, dict[str, int]]:
+    """Recompute every venue's (cd, c, sc, h, h_star) from serialized JSONL.
+
+    A paper whose venue is absent or empty belongs to no venue, and an edge
+    is a self-citation only when both papers name the same venue.
+    """
+    papers, by_id, incoming = _read(text)
+    owners: dict[str, list[dict]] = {}
+    for paper in papers:
+        if paper.get("venue"):
+            owners.setdefault(paper["venue"], []).append(paper)
+    return _tally(
+        owners,
+        by_id,
+        incoming,
+        lambda citing, cited: bool(citing.get("venue"))
+        and citing.get("venue") == cited.get("venue"),
+    )

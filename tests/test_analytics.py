@@ -31,12 +31,7 @@ def make_row(entity_id, cd, c, sc, h, h_star=None):
     counts = CitationCounts(
         citations_total=c, self_citations=sc, citable_documents=cd, h_index=h
     )
-    row = metrics_row(entity_id, counts)
-    if h_star is None:
-        return row
-    import dataclasses
-
-    return dataclasses.replace(row, h_star=h_star)
+    return metrics_row(entity_id, counts, h_star=h_star)
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +481,15 @@ def test_format_table_csv_and_markdown():
     )
     with pytest.raises(DomainError):
         format_table(header, rows, "html")
+
+
+def test_format_table_markdown_writes_line_breaks_as_br():
+    header = ("name", "n")
+    rows = [("crlf\r\nin", "1"), ("cr\rlf\n|", "2\n"), ("plain", "3")]
+    assert format_table(header, rows, "markdown") == (
+        "| name | n |\n| --- | --- |\n| crlf<br>in | 1 |\n"
+        "| cr<br>lf<br>\\| | 2<br> |\n| plain | 3 |\n"
+    )
 
 
 def test_render_table_is_deterministic():

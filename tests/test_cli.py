@@ -93,6 +93,16 @@ def test_metrics_markdown_format(corpus_path, capsys):
     assert "| --- |" in out.splitlines()[1]
 
 
+def test_metrics_markdown_keeps_a_multi_line_entity_on_one_row(tmp_path, capsys):
+    path = tmp_path / "agg.csv"
+    path.write_text('entity_id,cd,c,sc,h\n"Multi\nLine",3,10,2,2\n', encoding="utf-8")
+    code = main(["metrics", "--input", str(path), "--kind", "aggregate", "--format", "md"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == EXIT_OK
+    assert len(lines) == 3
+    assert lines[2].startswith("| Multi<br>Line | 3 | 1 | 10 | 2 |")
+
+
 def test_metrics_sort_flag(corpus_path, capsys):
     main(["metrics", "--input", str(corpus_path), "--sort", "cd"])
     out = capsys.readouterr().out
@@ -234,6 +244,36 @@ def test_validate_aggregate_rejects_non_ascii_count_syntax(tmp_path, capsys):
         "error: line 3: entity 'ArabicDigit': counts must be integers",
         "2 error(s), 0 warning(s)",
     ]
+
+
+@pytest.mark.parametrize(
+    "name, kind, data, message",
+    [
+        (
+            "bad.jsonl",
+            "corpus",
+            b'{"id": "p1", "authors": ["a"]}\n{"id": "p2", "authors": ["\xff"]}\n',
+            "line 2: invalid UTF-8 at byte 27 (invalid start byte)",
+        ),
+        (
+            "bad.csv",
+            "aggregate",
+            b"entity_id,cd,c,sc,h\nx,1,1,0,1\ny\xff,1,1,0,1\n",
+            "line 3: invalid UTF-8 at byte 2 (invalid start byte)",
+        ),
+    ],
+)
+def test_invalid_utf8_is_a_data_error_naming_the_line(name, kind, data, message, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_bytes(data)
+    code = main(["metrics", "--input", str(path), "--kind", kind])
+    captured = capsys.readouterr()
+    assert code == EXIT_DATA
+    assert captured.out == ""
+    assert captured.err == f"error: {name}, {message}\n"
+    code = main(["validate", "--input", str(path), "--kind", kind])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().out == f"error: {message}\n1 error(s), 0 warning(s)\n"
 
 
 def test_validate_missing_file(tmp_path, capsys):

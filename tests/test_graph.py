@@ -17,6 +17,7 @@ from vindex.errors import (
 )
 from vindex.graph import (
     AGGREGATE_CSV_COLUMNS,
+    MODES,
     Corpus,
     Paper,
     aggregate_all,
@@ -32,7 +33,7 @@ from vindex.graph import (
     write_aggregate_csv,
 )
 
-from oracles import author_aggregates_from_jsonl
+from oracles import author_aggregates_from_jsonl, journal_aggregates_from_jsonl
 
 
 def jsonl(*records) -> str:
@@ -127,6 +128,13 @@ def test_ingest_strips_self_loops_and_warns(caplog):
     assert any("self-referencing" in message for message in caplog.messages)
 
 
+def test_ingest_strips_one_self_reference_among_duplicates():
+    report = audit_corpus(['{"id": "p1", "authors": ["a"], "refs": ["p1", "p1"]}'])
+    assert report.warnings == ["line 1: paper 'p1' cites itself (1 entry(ies) stripped)"]
+    corpus = ingest_corpus(['{"id": "p1", "authors": ["a"], "refs": ["p1", "p1", "x", "p1"]}'])
+    assert corpus.paper("p1").refs == ("x",)
+
+
 def test_ingest_collapses_duplicate_refs():
     corpus = ingest_corpus(
         ['{"id": "p1", "authors": ["a"]}', '{"id": "p2", "authors": ["b"], "refs": ["p1", "p1"]}']
@@ -156,6 +164,11 @@ def test_ingest_normalizes_empty_venue():
         '{"id": "p1", "authors": ["a"], "year": "2001"}',
         '{"id": "p1", "authors": ["a"], "year": true}',
         '[1, 2, 3]',
+        '{"id": "p1", "authors": null}',
+        '{"id": "p1", "authors": [["a"]]}',
+        '{"id": "p1", "authors": ["a", null]}',
+        '{"id": "p1", "authors": ["a"], "refs": [""]}',
+        '{"id": "p1", "authors": ["a"], "refs": ["p2", false]}',
     ],
 )
 def test_ingest_rejects_malformed_line(line):
@@ -163,6 +176,31 @@ def test_ingest_rejects_malformed_line(line):
     with pytest.raises(CorpusParseError) as excinfo:
         ingest_corpus([good, line])
     assert "line 2" in str(excinfo.value)
+    assert audit_corpus([good, line]).errors == [str(excinfo.value)]
+
+
+def test_ingest_rejects_invalid_utf8_with_its_line(tmp_path):
+    data = (
+        b'{"id": "p1", "authors": ["a"]}\n'
+        b'{"id": "p2", "authors": ["b\xff"]}\n'
+        b'{"id": "p3", "authors": ["c"], "refs": ["p1"]}\n'
+        b'{"id": "p4", "authors": ["\xc3"]}\n'
+    )
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(data)
+    for source in (path, data, io.BytesIO(data)):
+        with pytest.raises(CorpusParseError) as excinfo:
+            ingest_corpus(source)
+        assert excinfo.value.line == 2
+        assert "invalid UTF-8 at byte 28 (invalid start byte)" in str(excinfo.value)
+    assert str(excinfo.value).startswith("line 2: ")
+    with pytest.raises(CorpusParseError, match="^bad.jsonl, line 2: invalid UTF-8"):
+        ingest_corpus(path)
+    # the audit reports every undecodable line and reads on
+    assert audit_corpus(path).errors == [
+        "line 2: invalid UTF-8 at byte 28 (invalid start byte)",
+        "line 4: invalid UTF-8 at byte 27 (invalid continuation byte)",
+    ]
 
 
 def test_ingest_rejects_duplicate_ids():
@@ -432,6 +470,66 @@ def test_synthetic_pipeline_against_reference_recount():
             assert got == want, author
 
 
+def messy_corpus(seed: int) -> str:
+    """JSONL with what a generated corpus never holds: refs to later papers,
+    to the paper itself, to absent ids and to one id twice, venues absent or
+    empty, and a name given twice in one team."""
+    rng = random.Random(seed)
+    n_papers = rng.randint(1, 30)
+    names = [f"a{i}" for i in range(rng.randint(1, 8))]
+    lines = []
+    for index in range(n_papers):
+        record: dict[str, object] = {
+            "id": f"p{index}",
+            "authors": [rng.choice(names) for _ in range(rng.randint(1, 3))],
+        }
+        roll = rng.random()
+        if roll < 0.7:
+            record["venue"] = rng.choice(("J1", "J2", "J3"))
+        elif roll < 0.85:
+            record["venue"] = ""
+        refs = [f"p{rng.randrange(n_papers)}" for _ in range(rng.randint(0, 6))]
+        if rng.random() < 0.2:
+            refs.append(f"ghost{index}")
+        if refs and rng.random() < 0.2:
+            refs.append(rng.choice(refs))
+        record["refs"] = refs
+        lines.append(json.dumps(record))
+    return "\n".join(lines) + "\n"
+
+
+def test_messy_corpora_hold_every_anomaly():
+    records = [json.loads(line) for seed in range(60) for line in messy_corpus(seed).splitlines()]
+    assert any(len(set(r["refs"])) < len(r["refs"]) for r in records)
+    assert any(r["id"] in r["refs"] for r in records)
+    assert any(ref.startswith("ghost") for r in records for ref in r["refs"])
+    assert any("venue" not in r for r in records)
+    assert any(r.get("venue") == "" for r in records)
+    assert any(len(set(r["authors"])) < len(r["authors"]) for r in records)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_aggregation_matches_the_oracles_on_messy_corpora(mode, caplog):
+    oracle = {"author": author_aggregates_from_jsonl, "journal": journal_aggregates_from_jsonl}
+    for seed in range(60):
+        text = messy_corpus(seed)
+        corpus = ingest_corpus(text.encode("utf-8"))
+        actual = {
+            agg.entity_id: dict(cd=agg.cd, c=agg.c, sc=agg.sc, h=agg.h, h_star=agg.h_star)
+            for agg in aggregate_all(corpus, mode)
+        }
+        assert actual == oracle[mode](text), seed
+        # classify_citation and the aggregation pass apply one rule
+        labels = [
+            classify_citation(corpus, paper.id, ref, mode).label
+            for paper in corpus
+            for ref in paper.refs
+            if ref in corpus
+        ]
+        expected = labels.count("self") / len(labels) if labels else 0.0
+        assert self_citation_fraction(corpus, mode) == expected
+
+
 def test_h_star_never_exceeds_h():
     rng = random.Random(8)
     for _ in range(20):
@@ -534,6 +632,44 @@ def test_aggregate_csv_keeps_a_quoted_newline(tmp_path):
         rows = read_aggregate_csv(source)
         assert [entity for entity, _ in rows] == ["Multi\nLine", "Single"]
     assert audit_aggregate(path).ok
+
+
+def test_aggregate_csv_reads_bare_carriage_returns(tmp_path):
+    path = tmp_path / "agg.csv"
+    path.write_bytes(b'entity_id,cd,c,sc,h\r"Multi\rLine",3,10,2,2\rSingle,4,20,5,3\r')
+    rows = read_aggregate_csv(path)
+    assert [entity for entity, _ in rows] == ["Multi\rLine", "Single"]
+    assert audit_aggregate(path).ok
+    path.write_bytes(b"entity_id,cd,c,sc,h\rx,1,1,0,1\r\ny,1,1,0,1\nbad,1,x,0,1\r")
+    with pytest.raises(CorpusParseError) as excinfo:
+        read_aggregate_csv(path)
+    assert excinfo.value.line == 4
+    assert audit_aggregate(path).errors == ["line 4: entity 'bad': counts must be integers"]
+
+
+def test_aggregate_csv_rejects_invalid_utf8_with_its_line(tmp_path):
+    data = (
+        b'entity_id,cd,c,sc,h\nx,1,1,0,1\n"Multi\r\xffLine",2,2,0,1\n'
+        b"bad\xfe,1,1,0,1\nok,1,1,0,1\n"
+    )
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    for source in (path, data, io.BytesIO(data)):
+        with pytest.raises(CorpusParseError) as excinfo:
+            read_aggregate_csv(source)
+        assert excinfo.value.line == 4
+        assert "invalid UTF-8 at byte 1 (invalid start byte)" in str(excinfo.value)
+    # the audit rejects each row holding an undecodable line and reads on
+    assert audit_aggregate(path).errors == [
+        "line 4: invalid UTF-8 at byte 1 (invalid start byte)",
+        "line 5: invalid UTF-8 at byte 4 (invalid start byte)",
+    ]
+    header = b"entity_id,cd,c,sc,h\xff\nx,1,1,0,1\n"
+    with pytest.raises(CorpusParseError, match="^line 1: invalid UTF-8"):
+        read_aggregate_csv(header)
+    assert audit_aggregate(header).errors == [
+        "line 1: invalid UTF-8 at byte 20 (invalid start byte)"
+    ]
 
 
 def test_aggregate_csv_reports_physical_line_numbers(tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -303,6 +304,15 @@ def test_metrics_row_honors_weight_choice():
     assert plain.v_index == 8.0
     assert harsh.v_index == pytest.approx(8 * 0.5**3, rel=1e-12)
     assert harsh.ratio == pytest.approx(0.125, rel=1e-12)
+
+
+def test_metrics_row_carries_h_star():
+    counts = CitationCounts(
+        citations_total=100, self_citations=20, citable_documents=25, h_index=5
+    )
+    row = metrics_row("someone", counts, h_star=4)
+    assert row.h_star == 4
+    assert row == dataclasses.replace(metrics_row("someone", counts), h_star=4)
 
 
 def test_metrics_row_requires_documents():
