@@ -10,10 +10,18 @@ self-citation when the citing and cited author sets intersect, and a paper
 contributes its counts to every one of its authors. In journal mode the
 entity is the venue string and an edge is a self-citation when both papers
 appeared in the same venue.
+
+Each input format is read by one pass: ``_corpus_records`` for JSONL and
+``_aggregate_rows`` for the aggregate CSV. A pass yields every record, or
+the error that rejects it, with its line. Two policies read each pass: the
+strict readers (``ingest_corpus``, ``read_aggregate_csv``) raise the first
+error, and the audits (``audit_corpus``, ``audit_aggregate``) collect every
+one. A check and its message are therefore written once for both.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
@@ -24,7 +32,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Literal, NamedTuple
 
-from .errors import CorpusIntegrityError, CorpusParseError, DomainError, UnknownEntityError
+from .errors import (
+    CorpusIntegrityError,
+    CorpusParseError,
+    DomainError,
+    UnknownEntityError,
+    VindexError,
+)
 from .metrics import CitationCounts, h_index
 
 logger = logging.getLogger(__name__)
@@ -158,14 +172,15 @@ def _open_lines(
 ) -> Iterator[tuple[Iterable[str | bytes], str | None]]:
     """Open any reasonable source as lines, plus a name for messages.
 
-    Paths are streamed. Paths, bytes and binary files give undecoded byte
-    lines split only at line feeds; the readers decode each line with
-    ``_decode``, so an invalid byte is reported with its line number. Text
-    is split as ``open`` splits it with ``newline``: a line feed splits
-    only at line feeds, as JSONL needs, and ``""`` keeps every line ending
-    for ``csv.reader`` to interpret, so quoted newlines survive. Unicode
-    line breaks such as U+2028 never split a line. An iterable of strings
-    is taken as lines already split.
+    Paths are streamed. Paths, bytes, binary files and UTF-8 text files
+    (read through their binary buffer) give undecoded byte lines split only
+    at line feeds; the readers decode each line with ``_decode``, so an
+    invalid byte is reported with its line number. Other text is split as
+    ``open`` splits it with ``newline``: a line feed splits only at line
+    feeds, as JSONL needs, and ``""`` keeps every line ending for
+    ``csv.reader`` to interpret, so quoted newlines survive. Unicode line
+    breaks such as U+2028 never split a line. An iterable of strings is
+    taken as lines already split.
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
@@ -176,7 +191,10 @@ def _open_lines(
         yield io.BytesIO(source), None
         return
     if hasattr(source, "read"):
-        data = source.read()
+        utf8_text = isinstance(source, io.TextIOWrapper) and (
+            codecs.lookup(source.encoding).name == "utf-8"
+        )
+        data = source.buffer.read() if utf8_text else source.read()
         name = getattr(source, "name", None)
         if isinstance(name, str) and not name.startswith("<"):
             name = Path(name).name
@@ -235,6 +253,12 @@ def _csv_lines(
             yield text
 
 
+def _located(message: str, line: int, source: str | None) -> str:
+    """``message`` behind its place, ``[source, ]line N: ``, written the way
+    CorpusParseError writes its own."""
+    return str(CorpusParseError(message, line=line, source=source))
+
+
 def _string_list(value: object, what: str, line: int, source: str | None) -> list[str]:
     # ``json.loads`` makes exact lists and strs, never subclasses, so
     # comparing exact types checks every item in C.
@@ -278,8 +302,44 @@ def _paper_from_record(record: object, line: int, source: str | None) -> tuple[P
     return paper, self_loops
 
 
+def _corpus_records(
+    lines: Iterable[str | bytes], source: str | None
+) -> Iterator[tuple[int, Paper | None, int, VindexError | None]]:
+    """The one pass over JSONL lines, shared by ``ingest_corpus`` and
+    ``audit_corpus``. For each non-blank line: its number, its paper, the
+    number of self-references stripped from that paper, and the error that
+    rejects the line, or None. A line that does not parse has no paper; a
+    duplicate id keeps its paper, so its stripped self-references are still
+    reported."""
+    seen: set[str] = set()
+    for line_no, raw in enumerate(lines, start=1):
+        try:
+            text = _decode(raw, line_no, source)
+            if not text.strip():
+                continue
+            paper, loops = _paper_from_record(json.loads(text), line_no, source)
+        except json.JSONDecodeError as exc:
+            error = CorpusParseError(f"invalid JSON ({exc.msg})", line=line_no, source=source)
+            yield line_no, None, 0, error
+        except CorpusParseError as exc:
+            yield line_no, None, 0, exc
+        else:
+            error = None
+            if paper.id in seen:
+                error = CorpusIntegrityError(
+                    _located(f"duplicate paper id {paper.id!r}", line_no, source)
+                )
+            seen.add(paper.id)
+            yield line_no, paper, loops, error
+
+
+def _dangling_refs(papers: dict[str, Paper]) -> int:
+    return sum(1 for p in papers.values() for ref in p.refs if ref not in papers)
+
+
 def ingest_corpus(source: str | Path | IO | bytes | Iterable[str]) -> Corpus:
-    """Load a JSONL corpus, one paper object per line.
+    """Load a JSONL corpus, one paper object per line: the strict policy
+    over the JSONL pass, raising its first error.
 
     Accepts a path, an open text or binary file, raw bytes, or an iterable
     of lines. Lines end only at a line feed. Blank lines are skipped. A
@@ -292,28 +352,14 @@ def ingest_corpus(source: str | Path | IO | bytes | Iterable[str]) -> Corpus:
     papers: dict[str, Paper] = {}
     stripped_loops = 0
     with _open_lines(source, "\n") as (lines, name):
-        for line_no, raw in enumerate(lines, start=1):
-            text = _decode(raw, line_no, name)
-            if not text.strip():
-                continue
-            try:
-                record = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise CorpusParseError(
-                    f"invalid JSON ({exc.msg})", line=line_no, source=name
-                ) from exc
-            paper, loops = _paper_from_record(record, line_no, name)
-            stripped_loops += loops
-            if paper.id in papers:
-                prefix = f"{name}, " if name else ""
-                raise CorpusIntegrityError(
-                    f"{prefix}line {line_no}: duplicate paper id {paper.id!r}"
-                )
+        for _, paper, loops, error in _corpus_records(lines, name):
+            if error is not None:
+                raise error
             papers[paper.id] = paper
+            stripped_loops += loops
     if stripped_loops:
         logger.warning("stripped %d self-referencing citation(s)", stripped_loops)
-    dangling = sum(1 for p in papers.values() for ref in p.refs if ref not in papers)
-    return Corpus(papers=papers, dangling_refs=dangling)
+    return Corpus(papers=papers, dangling_refs=_dangling_refs(papers))
 
 
 def serialize_corpus(corpus: Corpus) -> str:
@@ -548,19 +594,83 @@ def _is_count(text: str) -> bool:
     return digits.isascii() and digits.isdigit()
 
 
-def _parse_counts(fields: list[str]) -> tuple[int, int, int, int] | None:
-    """The cd, c, sc and h of a five-field row, or None unless every count
-    passes ``_is_count``."""
-    _, cd, c, sc, h = fields
+def _row_from_fields(
+    fields: list[str], seen: set[str], line: int, source: str | None
+) -> tuple[str, CitationCounts]:
+    """Validate one aggregate CSV row; ``seen`` holds the entities of the
+    rows before it and gains this row's entity once its counts parse."""
+    if len(fields) != len(AGGREGATE_CSV_COLUMNS):
+        raise CorpusParseError(
+            f"expected {len(AGGREGATE_CSV_COLUMNS)} fields, got {len(fields)}",
+            line=line,
+            source=source,
+        )
+    entity_id, cd, c, sc, h = fields
+    if not entity_id:
+        raise CorpusParseError("entity_id must be non-empty", line=line, source=source)
     if not (_is_count(cd) and _is_count(c) and _is_count(sc) and _is_count(h)):
-        return None
-    return int(cd), int(c), int(sc), int(h)
+        raise CorpusParseError(
+            f"entity {entity_id!r}: counts must be integers", line=line, source=source
+        )
+    if entity_id in seen:
+        raise CorpusIntegrityError(_located(f"duplicate entity {entity_id!r}", line, source))
+    seen.add(entity_id)
+    try:
+        return entity_id, CitationCounts(
+            citations_total=int(c),
+            self_citations=int(sc),
+            citable_documents=int(cd),
+            h_index=int(h),
+        )
+    except DomainError as exc:
+        raise DomainError(_located(f"entity {entity_id!r}: {exc}", line, source)) from None
+
+
+def _aggregate_rows(
+    lines: Iterable[str | bytes], source: str | None
+) -> Iterator[tuple[tuple[str, CitationCounts] | None, VindexError | None]]:
+    """The one pass over aggregate CSV lines, shared by
+    ``read_aggregate_csv`` and ``audit_aggregate``: each data row as its
+    entity and counts, or None and the error that rejects it. A header
+    that is missing, undecodable or wrong ends the pass."""
+    bad: list[CorpusParseError] = []
+    reader = csv.reader(_csv_lines(lines, source, bad))
+    header = next(reader, None)
+    if header is None:
+        yield None, CorpusParseError("empty file, expected a header row", line=1, source=source)
+        return
+    if header and header[0].startswith("\ufeff"):
+        header[0] = header[0].lstrip("\ufeff")
+    if bad:
+        yield from ((None, error) for error in bad)
+        return
+    if tuple(header) != AGGREGATE_CSV_COLUMNS:
+        yield None, CorpusParseError(
+            f"header must be exactly {','.join(AGGREGATE_CSV_COLUMNS)!r}, "
+            f"got {','.join(header)!r}",
+            line=1,
+            source=source,
+        )
+        return
+    seen: set[str] = set()
+    for fields in reader:
+        if bad:
+            yield from ((None, error) for error in bad)
+            bad.clear()
+        elif fields:
+            try:
+                row = _row_from_fields(fields, seen, reader.line_num, source)
+            except VindexError as exc:
+                yield None, exc
+            else:
+                yield row, None
 
 
 def read_aggregate_csv(
     source: str | Path | IO | bytes | Iterable[str],
 ) -> list[tuple[str, CitationCounts]]:
-    """Read pre-aggregated entity rows from CSV.
+    """Read pre-aggregated entity rows from CSV: the strict policy over the
+    CSV pass, raising its first error.
 
     The header must be exactly ``entity_id,cd,c,sc,h`` and quoting follows
     RFC 4180. A count that is not ASCII digits (with an optional leading
@@ -569,64 +679,12 @@ def read_aggregate_csv(
     offending entity; duplicate entities raise CorpusIntegrityError. Line
     numbers name the line on which a row ends.
     """
-    bad: list[CorpusParseError] = []
+    rows: list[tuple[str, CitationCounts]] = []
     with _open_lines(source, "") as (lines, name):
-        reader = csv.reader(_csv_lines(lines, name, bad))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CorpusParseError(
-                "empty file, expected a header row", line=1, source=name
-            ) from None
-        if bad:
-            raise bad[0]
-        if header and header[0].startswith("\ufeff"):
-            header[0] = header[0].lstrip("\ufeff")
-        if tuple(header) != AGGREGATE_CSV_COLUMNS:
-            raise CorpusParseError(
-                f"header must be exactly {','.join(AGGREGATE_CSV_COLUMNS)!r}, "
-                f"got {','.join(header)!r}",
-                line=1,
-                source=name,
-            )
-        rows: list[tuple[str, CitationCounts]] = []
-        seen: set[str] = set()
-        for fields in reader:
-            line_no = reader.line_num
-            if bad:
-                raise bad[0]
-            if not fields:
-                continue
-            if len(fields) != len(AGGREGATE_CSV_COLUMNS):
-                raise CorpusParseError(
-                    f"expected {len(AGGREGATE_CSV_COLUMNS)} fields, got {len(fields)}",
-                    line=line_no,
-                    source=name,
-                )
-            entity_id = fields[0]
-            if not entity_id:
-                raise CorpusParseError("entity_id must be non-empty", line=line_no, source=name)
-            parsed = _parse_counts(fields)
-            if parsed is None:
-                raise CorpusParseError(
-                    f"entity {entity_id!r}: counts must be integers, got {fields[1:]!r}",
-                    line=line_no,
-                    source=name,
-                )
-            cd, c, sc, h = parsed
-            if entity_id in seen:
-                prefix = f"{name}, " if name else ""
-                raise CorpusIntegrityError(
-                    f"{prefix}line {line_no}: duplicate entity {entity_id!r}"
-                )
-            seen.add(entity_id)
-            try:
-                counts = CitationCounts(
-                    citations_total=c, self_citations=sc, citable_documents=cd, h_index=h
-                )
-            except DomainError as exc:
-                raise DomainError(f"line {line_no}, entity {entity_id!r}: {exc}") from None
-            rows.append((entity_id, counts))
+        for row, error in _aggregate_rows(lines, name):
+            if error is not None:
+                raise error
+            rows.append(row)
     return rows
 
 
@@ -659,7 +717,8 @@ class AuditReport:
 def audit_corpus(
     source: str | Path | IO | bytes | Iterable[str], mode: Mode = "author"
 ) -> AuditReport:
-    """Check a JSONL corpus, collecting every problem instead of stopping.
+    """Check a JSONL corpus, collecting every problem instead of stopping:
+    the audit policy over the JSONL pass that ``ingest_corpus`` reads.
 
     Hard errors: unparseable lines and duplicate ids. Warnings: stripped
     self-references, dangling references, and, in journal mode, papers
@@ -668,43 +727,22 @@ def audit_corpus(
     _check_mode(mode)
     report = AuditReport()
     papers: dict[str, Paper] = {}
-    missing_venue = 0
     with _open_lines(source, "\n") as (lines, _):
-        for line_no, raw in enumerate(lines, start=1):
-            try:
-                text = _decode(raw, line_no, None)
-            except CorpusParseError as exc:
-                report.errors.append(str(exc))
-                continue
-            if not text.strip():
-                continue
-            try:
-                record = json.loads(text)
-            except json.JSONDecodeError as exc:
-                report.errors.append(f"line {line_no}: invalid JSON ({exc.msg})")
-                continue
-            try:
-                paper, loops = _paper_from_record(record, line_no, None)
-            except CorpusParseError as exc:
-                report.errors.append(str(exc))
-                continue
+        for line_no, paper, loops, error in _corpus_records(lines, None):
             if loops:
-                report.warnings.append(
-                    f"line {line_no}: paper {paper.id!r} cites itself "
-                    f"({loops} entry(ies) stripped)"
-                )
-            if paper.id in papers:
-                report.errors.append(f"line {line_no}: duplicate paper id {paper.id!r}")
-                continue
-            papers[paper.id] = paper
-            if mode == "journal" and paper.venue is None:
-                missing_venue += 1
-    dangling = sum(1 for p in papers.values() for ref in p.refs if ref not in papers)
+                stripped = f"paper {paper.id!r} cites itself ({loops} entry(ies) stripped)"
+                report.warnings.append(_located(stripped, line_no, None))
+            if error is not None:
+                report.errors.append(str(error))
+            else:
+                papers[paper.id] = paper
+    dangling = _dangling_refs(papers)
     if dangling:
         report.warnings.append(
             f"{dangling} reference(s) point outside the corpus and will be ignored"
         )
-    if missing_venue:
+    missing_venue = sum(paper.venue is None for paper in papers.values())
+    if mode == "journal" and missing_venue:
         report.warnings.append(
             f"{missing_venue} paper(s) have no venue; their citations count as genuine"
         )
@@ -712,61 +750,10 @@ def audit_corpus(
 
 
 def audit_aggregate(source: str | Path | IO | bytes | Iterable[str]) -> AuditReport:
-    """Check an aggregate CSV: header, field types, and count invariants."""
-    report = AuditReport()
-    bad: list[CorpusParseError] = []
+    """Check an aggregate CSV: header, field types, and count invariants.
+    The audit policy over the CSV pass that ``read_aggregate_csv`` reads:
+    it collects every error instead of raising the first."""
     with _open_lines(source, "") as (lines, _):
-        reader = csv.reader(_csv_lines(lines, None, bad))
-        try:
-            header = next(reader)
-        except StopIteration:
-            report.errors.append("line 1: empty file, expected a header row")
-            return report
-        if bad:
-            report.errors.extend(map(str, bad))
-            return report
-        if header and header[0].startswith("\ufeff"):
-            header[0] = header[0].lstrip("\ufeff")
-        if tuple(header) != AGGREGATE_CSV_COLUMNS:
-            report.errors.append(
-                f"line 1: header must be exactly {','.join(AGGREGATE_CSV_COLUMNS)!r}, "
-                f"got {','.join(header)!r}"
-            )
-            return report
-        seen: set[str] = set()
-        for fields in reader:
-            line_no = reader.line_num
-            if bad:
-                report.errors.extend(map(str, bad))
-                bad.clear()
-                continue
-            if not fields:
-                continue
-            if len(fields) != len(AGGREGATE_CSV_COLUMNS):
-                report.errors.append(
-                    f"line {line_no}: expected {len(AGGREGATE_CSV_COLUMNS)} fields, "
-                    f"got {len(fields)}"
-                )
-                continue
-            entity_id = fields[0]
-            if not entity_id:
-                report.errors.append(f"line {line_no}: entity_id must be non-empty")
-                continue
-            parsed = _parse_counts(fields)
-            if parsed is None:
-                report.errors.append(
-                    f"line {line_no}: entity {entity_id!r}: counts must be integers"
-                )
-                continue
-            cd, c, sc, h = parsed
-            if entity_id in seen:
-                report.errors.append(f"line {line_no}: duplicate entity {entity_id!r}")
-                continue
-            seen.add(entity_id)
-            try:
-                CitationCounts(
-                    citations_total=c, self_citations=sc, citable_documents=cd, h_index=h
-                )
-            except DomainError as exc:
-                report.errors.append(f"line {line_no}: entity {entity_id!r}: {exc}")
-    return report
+        return AuditReport(
+            errors=[str(error) for _, error in _aggregate_rows(lines, None) if error is not None]
+        )

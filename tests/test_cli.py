@@ -6,6 +6,8 @@ codes and captured streams without paying interpreter startup per case.
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -276,6 +278,73 @@ def test_invalid_utf8_is_a_data_error_naming_the_line(name, kind, data, message,
     assert capsys.readouterr().out == f"error: {message}\n1 error(s), 0 warning(s)\n"
 
 
+MESSY_CORPUS = (
+    b'{"id": "p1", "authors": ["ann"], "venue": "J1", "refs": ["p1"]}\n'
+    b'{"id": "p2", "authors": ["bob"], "venue": "J1", "refs": ["p1", "ghost"]}\n'
+    b"{broken\n"
+    b'{"id": "p1", "authors": ["cara"], "venue": "J2", "refs": ["p1", "p2"]}\n'
+    b'{"id": "p5", "venue": "J2"}\n'
+    b'{"id": "p6", "authors": ["ann", "cara"], "refs": ["p2"]}\n'
+    b'{"id": "p7", "authors": ["d\xffn"], "venue": "J1"}\n'
+)
+
+MESSY_REPORT = [
+    "error: line 3: invalid JSON (Expecting property name enclosed in double quotes)",
+    "error: line 4: duplicate paper id 'p1'",
+    "error: line 5: paper 'p5' has no 'authors'",
+    "error: line 7: invalid UTF-8 at byte 28 (invalid start byte)",
+    "warning: line 1: paper 'p1' cites itself (1 entry(ies) stripped)",
+    # the duplicate line is rejected, but its self-reference is still reported
+    "warning: line 4: paper 'p1' cites itself (1 entry(ies) stripped)",
+    "warning: 1 reference(s) point outside the corpus and will be ignored",
+]
+
+
+@pytest.mark.parametrize(
+    "mode, tail",
+    [
+        ("author", ["4 error(s), 3 warning(s)"]),
+        (
+            "journal",
+            [
+                "warning: 1 paper(s) have no venue; their citations count as genuine",
+                "4 error(s), 4 warning(s)",
+            ],
+        ),
+    ],
+)
+def test_validate_reports_every_problem_of_a_messy_corpus(mode, tail, tmp_path, capsys):
+    path = tmp_path / "messy.jsonl"
+    path.write_bytes(MESSY_CORPUS)
+    code = main(["validate", "--input", str(path), "--mode", mode])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().out.splitlines() == MESSY_REPORT + tail
+
+
+def test_validate_reports_every_problem_of_a_messy_aggregate(tmp_path, capsys):
+    path = tmp_path / "messy.csv"
+    path.write_bytes(
+        b"entity_id,cd,c,sc,h\nok,1,1,0,1\nshort,1\n,1,1,0,1\ncount,1_0,2,0,1\n"
+        b"sc,5,10,20,3\nhcd,3,100,0,4\nneg,-1,2,0,1\nok,1,1,0,1\nsc,1,1,5,1\n"
+        b'by\xfete,1,1,0,1\n"Multi\nLine",3,10,2,2\n'
+    )
+    code = main(["validate", "--input", str(path), "--kind", "aggregate"])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().out.splitlines() == [
+        "error: line 3: expected 5 fields, got 2",
+        "error: line 4: entity_id must be non-empty",
+        "error: line 5: entity 'count': counts must be integers",
+        "error: line 6: entity 'sc': self_citations (20) exceed citations_total (10)",
+        "error: line 7: entity 'hcd': h_index (4) exceeds citable_documents (3)",
+        "error: line 8: entity 'neg': citable_documents must be >= 0, got -1",
+        "error: line 9: duplicate entity 'ok'",
+        # a repeated entity is reported as such before its counts are checked
+        "error: line 10: duplicate entity 'sc'",
+        "error: line 11: invalid UTF-8 at byte 3 (invalid start byte)",
+        "9 error(s), 0 warning(s)",
+    ]
+
+
 def test_validate_missing_file(tmp_path, capsys):
     code = main(["validate", "--input", str(tmp_path / "absent.csv")])
     assert code == EXIT_READ
@@ -445,3 +514,20 @@ def test_import_loads_no_numpy_or_scipy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# benchmark hooks
+# ---------------------------------------------------------------------------
+
+def test_bench_tracer_names_resolve():
+    # The benchmark tracer wraps these functions by module attribute; a
+    # rename here must fail the suite, not only a traced benchmark run.
+    spans_path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", spans_path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TRACED
+    for module_name, name in spans.TRACED:
+        module = importlib.import_module(f"vindex.{module_name}")
+        assert callable(getattr(module, name, None)), f"vindex.{module_name}.{name}"

@@ -672,6 +672,60 @@ def test_aggregate_csv_rejects_invalid_utf8_with_its_line(tmp_path):
     ]
 
 
+CSV_HEADER = "entity_id,cd,c,sc,h"
+
+
+@pytest.mark.parametrize(
+    "lines, error",
+    [
+        pytest.param([], CorpusParseError, id="empty"),
+        pytest.param(["entity,cd,c,sc,h", "x,1,1,0,1"], CorpusParseError, id="header"),
+        pytest.param([CSV_HEADER, "x,1,1"], CorpusParseError, id="short-row"),
+        pytest.param([CSV_HEADER, ",1,1,0,1"], CorpusParseError, id="empty-entity"),
+        *(
+            pytest.param([CSV_HEADER, f"x,{count},20,5,3"], CorpusParseError, id=f"count-{i}")
+            for i, count in enumerate(["1_0", "\u0665", " 5", "+5", "5.0"])
+        ),
+        pytest.param([CSV_HEADER, "x,5,10,20,3"], DomainError, id="sc-above-c"),
+        pytest.param([CSV_HEADER, "x,3,100,0,4"], DomainError, id="h-above-cd"),
+        pytest.param([CSV_HEADER, "x,-1,20,5,3"], DomainError, id="negative"),
+        pytest.param(
+            [CSV_HEADER, "x,1,1,0,1", "x,2,2,0,1"], CorpusIntegrityError, id="duplicate"
+        ),
+        pytest.param(b"entity_id,cd,c,sc,h\nx\xfe,1,1,0,1\n", CorpusParseError, id="bad-byte"),
+    ],
+)
+def test_aggregate_csv_strict_and_audit_agree(lines, error):
+    with pytest.raises(error) as excinfo:
+        read_aggregate_csv(lines)
+    assert type(excinfo.value) is error
+    assert audit_aggregate(lines).errors == [str(excinfo.value)]
+
+
+def test_readers_locate_a_bad_byte_in_a_text_stream(tmp_path):
+    corpus = tmp_path / "bad.jsonl"
+    corpus.write_bytes(b'{"id": "p1", "authors": ["a"]}\n{"id": "p2", "authors": ["\xff"]}\n')
+    table = tmp_path / "bad.csv"
+    table.write_bytes(b"entity_id,cd,c,sc,h\nx,1,1,0,1\ny\xff,1,1,0,1\n")
+    for path, read, audit, message in (
+        (corpus, ingest_corpus, audit_corpus, "line 2: invalid UTF-8 at byte 27"),
+        (table, read_aggregate_csv, audit_aggregate, "line 3: invalid UTF-8 at byte 2"),
+    ):
+        with open(path, encoding="utf-8") as handle:
+            with pytest.raises(CorpusParseError) as excinfo:
+                read(handle)
+        assert str(excinfo.value).startswith(f"{path.name}, {message} ")
+        with open(path, encoding="utf-8") as handle:
+            assert audit(handle).errors == [f"{message} (invalid start byte)"]
+
+
+def test_readers_keep_the_encoding_of_a_text_stream(tmp_path):
+    path = tmp_path / "latin.jsonl"
+    path.write_bytes(b'{"id": "p1", "authors": ["Jos\xe9"]}\n')
+    with open(path, encoding="latin-1") as handle:
+        assert ingest_corpus(handle).paper("p1").authors == ("José",)
+
+
 def test_aggregate_csv_reports_physical_line_numbers(tmp_path):
     path = tmp_path / "agg.csv"
     path.write_text(
