@@ -34,7 +34,7 @@ def build(bias: float):
 def rows_for(aggregates):
     rows = []
     for aggregate in aggregates:
-        row = metrics_row(aggregate.entity_id, aggregate.counts())
+        row = metrics_row(aggregate.entity_id, aggregate.counts(), h_star=aggregate.h_star)
         rows.append((aggregate, row))
     return rows
 

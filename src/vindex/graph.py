@@ -27,6 +27,7 @@ import io
 import json
 import logging
 import random
+from bisect import insort
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -310,11 +311,14 @@ def _corpus_records(
     number of self-references stripped from that paper, and the error that
     rejects the line, or None. A line that does not parse has no paper; a
     duplicate id keeps its paper, so its stripped self-references are still
-    reported."""
+    reported. A byte-order mark opening line 1 is dropped, as the CSV pass
+    drops it from its header."""
     seen: set[str] = set()
     for line_no, raw in enumerate(lines, start=1):
         try:
             text = _decode(raw, line_no, source)
+            if line_no == 1:
+                text = text.removeprefix("\ufeff")
             if not text.strip():
                 continue
             paper, loops = _paper_from_record(json.loads(text), line_no, source)
@@ -542,6 +546,11 @@ def generate_synthetic_corpus(
     ``self_cite_bias`` and a disjoint-author target otherwise, falling back
     to whatever pool is non-empty. The same seed always reproduces the same
     corpus, byte for byte.
+
+    Each paper costs O(H log H) for a team history of H earlier papers,
+    whatever its index: a disjoint target is drawn by its rank among the
+    earlier papers that are neither shared nor already drawn, found by
+    walking the sorted list of the excluded ones.
     """
     if n_papers < 1:
         raise DomainError(f"n_papers must be >= 1, got {n_papers}")
@@ -557,18 +566,29 @@ def generate_synthetic_corpus(
         team_size = rng.randint(1, min(4, n_authors))
         authors = tuple(rng.sample(author_pool, team_size))
         shared = sorted({j for name in authors for j in by_author[name]})
-        shared_set = set(shared)
-        disjoint = [j for j in range(index) if j not in shared_set]
+        # The disjoint pool is range(index) minus ``taken``: the papers
+        # shared at the start of this paper, plus disjoint targets drawn.
+        taken = shared.copy()
         n_refs = rng.randint(0, min(4, index))
         chosen: list[int] = []
         for _ in range(n_refs):
             prefer_shared = rng.random() < self_cite_bias
-            pool = shared if prefer_shared else disjoint
-            if not pool:
-                pool = disjoint if prefer_shared else shared
-            if not pool:
+            n_disjoint = index - len(taken)
+            from_shared = bool(shared) if prefer_shared else not n_disjoint
+            size = len(shared) if from_shared else n_disjoint
+            if not size:
                 break
-            chosen.append(pool.pop(rng.randrange(len(pool))))
+            rank = rng.randrange(size)
+            if from_shared:
+                chosen.append(shared.pop(rank))
+                continue
+            target = rank
+            for excluded in taken:
+                if excluded > target:
+                    break
+                target += 1
+            insort(taken, target)
+            chosen.append(target)
         paper_id = f"p{index + 1:04d}"
         paper = Paper(
             id=paper_id,

@@ -8,6 +8,7 @@ shared with the code under test.
 from __future__ import annotations
 
 import json
+import random
 
 
 def brute_h(counts) -> int:
@@ -97,3 +98,48 @@ def journal_aggregates_from_jsonl(text: str) -> dict[str, dict[str, int]]:
         lambda citing, cited: bool(citing.get("venue"))
         and citing.get("venue") == cited.get("venue"),
     )
+
+
+_VENUES = tuple(f"v{i:02d}" for i in range(1, 7))
+
+
+def synthetic_corpus_jsonl(seed: int, n_papers: int, n_authors: int, self_cite_bias: float) -> str:
+    """The synthetic corpus generator as first written, serialized as JSONL
+    with the keys in ``serialize_corpus`` order.
+
+    For every paper it lists every earlier paper sharing no author and
+    draws from that list, so it costs O(n) per paper. It makes the same
+    random calls, with the same arguments, as ``generate_synthetic_corpus``
+    must.
+    """
+    rng = random.Random(seed)
+    author_pool = [f"a{i:03d}" for i in range(1, n_authors + 1)]
+    by_author: dict[str, list[int]] = {name: [] for name in author_pool}
+    lines: list[str] = []
+    for index in range(n_papers):
+        team_size = rng.randint(1, min(4, n_authors))
+        authors = tuple(rng.sample(author_pool, team_size))
+        shared = sorted({j for name in authors for j in by_author[name]})
+        shared_set = set(shared)
+        disjoint = [j for j in range(index) if j not in shared_set]
+        n_refs = rng.randint(0, min(4, index))
+        chosen: list[int] = []
+        for _ in range(n_refs):
+            prefer_shared = rng.random() < self_cite_bias
+            pool = shared if prefer_shared else disjoint
+            if not pool:
+                pool = disjoint if prefer_shared else shared
+            if not pool:
+                break
+            chosen.append(pool.pop(rng.randrange(len(pool))))
+        record = {
+            "id": f"p{index + 1:04d}",
+            "authors": list(authors),
+            "venue": rng.choice(_VENUES),
+            "year": 2000 + index % 12,
+            "refs": [f"p{j + 1:04d}" for j in sorted(chosen)],
+        }
+        lines.append(json.dumps(record) + "\n")
+        for name in authors:
+            by_author[name].append(index)
+    return "".join(lines)

@@ -278,6 +278,16 @@ def test_invalid_utf8_is_a_data_error_naming_the_line(name, kind, data, message,
     assert capsys.readouterr().out == f"error: {message}\n1 error(s), 0 warning(s)\n"
 
 
+@pytest.mark.parametrize("command", ["metrics", "validate"])
+def test_leading_byte_order_mark_is_read_like_its_absence(command, corpus_path, tmp_path, capsys):
+    bom_path = tmp_path / "bom.jsonl"
+    bom_path.write_bytes(b"\xef\xbb\xbf" + corpus_path.read_bytes())
+    assert main([command, "--input", str(corpus_path)]) == EXIT_OK
+    plain = capsys.readouterr()
+    assert main([command, "--input", str(bom_path)]) == EXIT_OK
+    assert capsys.readouterr() == plain
+
+
 MESSY_CORPUS = (
     b'{"id": "p1", "authors": ["ann"], "venue": "J1", "refs": ["p1"]}\n'
     b'{"id": "p2", "authors": ["bob"], "venue": "J1", "refs": ["p1", "ghost"]}\n'

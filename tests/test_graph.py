@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import logging
@@ -33,7 +34,11 @@ from vindex.graph import (
     write_aggregate_csv,
 )
 
-from oracles import author_aggregates_from_jsonl, journal_aggregates_from_jsonl
+from oracles import (
+    author_aggregates_from_jsonl,
+    journal_aggregates_from_jsonl,
+    synthetic_corpus_jsonl,
+)
 
 
 def jsonl(*records) -> str:
@@ -201,6 +206,33 @@ def test_ingest_rejects_invalid_utf8_with_its_line(tmp_path):
         "line 2: invalid UTF-8 at byte 28 (invalid start byte)",
         "line 4: invalid UTF-8 at byte 27 (invalid continuation byte)",
     ]
+
+
+BOM_CORPUS = (
+    b'{"id": "p1", "authors": ["a"], "refs": ["p1"]}\n'
+    b'{"id": "p2", "authors": ["b"], "refs": ["p1"]}\n'
+)
+
+
+def test_ingest_and_audit_drop_a_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.jsonl"
+    path.write_bytes(b"\xef\xbb\xbf" + BOM_CORPUS)
+    plain = ingest_corpus(BOM_CORPUS)
+    for source in (path, path.read_bytes()):
+        assert ingest_corpus(source) == plain
+        report = audit_corpus(source)
+        assert report.errors == []
+        assert report.warnings == audit_corpus(BOM_CORPUS).warnings
+
+
+def test_byte_order_mark_after_line_1_is_still_rejected():
+    data = b"\xef\xbb\xbf" + BOM_CORPUS + b'\xef\xbb\xbf{"id": "p3", "authors": ["c"]}\n'
+    with pytest.raises(CorpusParseError, match="^line 3: invalid JSON"):
+        ingest_corpus(data)
+    line_2 = BOM_CORPUS.replace(b"\n{", b"\n\xef\xbb\xbf{")
+    with pytest.raises(CorpusParseError, match="^line 2: invalid JSON"):
+        ingest_corpus(line_2)
+    assert [e.split(" (")[0] for e in audit_corpus(line_2).errors] == ["line 2: invalid JSON"]
 
 
 def test_ingest_rejects_duplicate_ids():
@@ -442,6 +474,39 @@ def test_synthetic_bias_raises_self_citation_share():
         low += self_citation_fraction(generate_synthetic_corpus(seed, 100, 10, 0.0))
         high += self_citation_fraction(generate_synthetic_corpus(seed, 100, 10, 1.0))
     assert high > low
+
+
+def test_synthetic_matches_the_reference_generator_byte_for_byte():
+    # Pools of 1 to 3 authors empty the disjoint pool, so the fallback to
+    # shared targets and the early stop are both exercised.
+    for seed in range(12):
+        for n_papers in (1, 2, 5, 37, 300):
+            for n_authors in (1, 2, 3, 7, 50):
+                for bias in (0.0, 0.3, 0.7, 1.0):
+                    case = (seed, n_papers, n_authors, bias)
+                    got = serialize_corpus(generate_synthetic_corpus(*case))
+                    assert got == synthetic_corpus_jsonl(*case), case
+
+
+@pytest.mark.parametrize("case", [(3, 2500, 400, 0.3), (1, 200, 40, 0.2)])
+def test_synthetic_matches_the_reference_generator_at_bench_shapes(case):
+    assert serialize_corpus(generate_synthetic_corpus(*case)) == synthetic_corpus_jsonl(*case)
+
+
+# sha256 of serialize_corpus output, recorded from the O(n)-per-paper
+# generator; they hold even if generator and reference change together.
+SYNTHETIC_DIGESTS = {
+    (3, 2500, 400, 0.3): "3c52a5959b9f3dad8d98b0fdada3c2a1c0db2c4cde4ec912bafbf837c16ded82",
+    (1, 200, 40, 0.2): "ae0809a43dfedfe0975d5c3aa15ccc3c88fe2ca45d9355eb77113fd59672447f",
+    (20110915, 150, 12, 0.1): "9035db9eb65c89d975bd976ca387cf4f67c35efed14109db17492a4516dc799e",
+    (20110915, 150, 12, 0.9): "34866085c90b102573d811217475df8f47d60196ab28b32dbadbea5d83d6f79d",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SYNTHETIC_DIGESTS))
+def test_synthetic_bytes_are_pinned(case):
+    text = serialize_corpus(generate_synthetic_corpus(*case))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SYNTHETIC_DIGESTS[case]
 
 
 @pytest.mark.parametrize(
