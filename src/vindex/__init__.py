@@ -35,16 +35,13 @@ from .errors import (
 )
 from .graph import (
     AuditReport,
-    CitationClass,
     Corpus,
     EntityAggregate,
     Paper,
     PaperCitations,
     aggregate_all,
-    aggregate_entity,
     audit_aggregate,
     audit_corpus,
-    classify_citation,
     generate_synthetic_corpus,
     ingest_corpus,
     read_aggregate_csv,
@@ -89,14 +86,11 @@ __all__ = [
     # graph
     "Paper",
     "Corpus",
-    "CitationClass",
     "PaperCitations",
     "EntityAggregate",
     "AuditReport",
     "ingest_corpus",
     "serialize_corpus",
-    "classify_citation",
-    "aggregate_entity",
     "aggregate_all",
     "self_citation_fraction",
     "generate_synthetic_corpus",

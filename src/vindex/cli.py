@@ -15,9 +15,8 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Literal, Sequence
+from typing import Sequence
 
 from . import analytics, graph, metrics
 from .errors import VindexError
@@ -33,7 +32,6 @@ __all__ = [
     "EXIT_OK",
     "EXIT_READ",
     "EXIT_DATA",
-    "RunConfig",
     "build_parser",
     "cmd_metrics",
     "cmd_validate",
@@ -41,19 +39,6 @@ __all__ = [
     "cmd_compare",
     "main",
 ]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one metrics run needs; the argv layer only fills this in."""
-
-    input_path: Path
-    input_kind: Literal["corpus", "aggregate"] = "corpus"
-    mode: graph.Mode = "author"
-    weight: metrics.WeightFunction = metrics.WeightFunction.sqrt()
-    sort_key: analytics.SortKey = "v_index"
-    table_format: analytics.TableFormat = "csv"
-    output_path: Path | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -99,12 +84,20 @@ def _metric_rows(
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_metrics(config: RunConfig) -> int:
-    """Compute the metric table described by ``config`` and emit it."""
-    entities = _entity_counts(config.input_path, config.input_kind, config.mode)
-    rows = _metric_rows(entities, config.weight)
-    table = analytics.rank(rows, config.sort_key)
-    _emit(analytics.render_table(table, config.table_format), config.output_path)
+def cmd_metrics(
+    input_path: Path,
+    input_kind: str = "corpus",
+    mode: graph.Mode = "author",
+    weight: metrics.WeightFunction = metrics.WeightFunction.sqrt(),
+    sort_key: analytics.SortKey = "v_index",
+    table_format: analytics.TableFormat = "csv",
+    output_path: Path | None = None,
+) -> int:
+    """Compute, rank, and render the metric table for one input and emit it."""
+    entities = _entity_counts(input_path, input_kind, mode)
+    rows = _metric_rows(entities, weight)
+    table = analytics.rank(rows, sort_key)
+    _emit(analytics.render_table(table, table_format), output_path)
     return EXIT_OK
 
 
@@ -277,8 +270,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         if args.command == "metrics":
-            config = RunConfig(
-                input_path=args.input,
+            return cmd_metrics(
+                args.input,
                 input_kind=args.kind,
                 mode=_resolve_mode(args),
                 weight=metrics.WeightFunction.parse(args.weight),
@@ -286,7 +279,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 table_format=_FORMATS[args.format],
                 output_path=args.output,
             )
-            return cmd_metrics(config)
         if args.command == "validate":
             return cmd_validate(args.input, args.kind, _resolve_mode(args))
         if args.command == "synth":

@@ -56,14 +56,11 @@ __all__ = [
     "AGGREGATE_CSV_COLUMNS",
     "Paper",
     "Corpus",
-    "CitationClass",
     "PaperCitations",
     "EntityAggregate",
     "AuditReport",
     "ingest_corpus",
     "serialize_corpus",
-    "classify_citation",
-    "aggregate_entity",
     "aggregate_all",
     "self_citation_fraction",
     "generate_synthetic_corpus",
@@ -115,16 +112,6 @@ class Corpus:
             return self.papers[paper_id]
         except KeyError:
             raise UnknownEntityError(f"unknown paper id {paper_id!r}") from None
-
-
-@dataclass(frozen=True)
-class CitationClass:
-    """The label of one citation edge under a chosen entity mode."""
-
-    citing: str
-    cited: str
-    label: Literal["self", "genuine"]
-    mode: Mode
 
 
 class PaperCitations(NamedTuple):
@@ -322,11 +309,16 @@ def _corpus_records(
             if not text.strip():
                 continue
             paper, loops = _paper_from_record(json.loads(text), line_no, source)
-        except json.JSONDecodeError as exc:
-            error = CorpusParseError(f"invalid JSON ({exc.msg})", line=line_no, source=source)
-            yield line_no, None, 0, error
         except CorpusParseError as exc:
             yield line_no, None, 0, exc
+        except (ValueError, RecursionError) as exc:
+            # Besides JSONDecodeError: a plain ValueError for an integer over
+            # Python's digit limit, RecursionError for deep nesting.
+            reason = getattr(exc, "msg", None) or (
+                "nested too deeply" if isinstance(exc, RecursionError) else "integer too long"
+            )
+            error = CorpusParseError(f"invalid JSON ({reason})", line=line_no, source=source)
+            yield line_no, None, 0, error
         else:
             error = None
             if paper.id in seen:
@@ -393,46 +385,20 @@ def _check_mode(mode: str) -> None:
         raise DomainError(f"unknown entity mode {mode!r}; expected 'author' or 'journal'")
 
 
-def _is_self_edge(mine: frozenset[str], venue: str | None, cited: Paper, mode: Mode) -> bool:
-    """The self-citation rule, for an edge to ``cited`` from a paper with
-    the author set ``mine`` and the venue ``venue``."""
-    if mode == "author":
-        return not mine.isdisjoint(cited.authors)
-    return venue is not None and venue == cited.venue
-
-
-def classify_citation(corpus: Corpus, citing_id: str, cited_id: str, mode: Mode) -> CitationClass:
-    """Classify the edge citing -> cited as a self-citation or genuine.
-
-    Author mode uses the author-set intersection rule: one shared author on
-    both sides makes the edge a self-citation for every entity involved.
-    Journal mode compares venues; a missing venue on either side classifies
-    the edge genuine, so sparse metadata never inflates self-citation counts.
-    """
-    _check_mode(mode)
-    citing = corpus.paper(citing_id)
-    cited = corpus.paper(cited_id)
-    if cited_id not in citing.refs:
-        raise DomainError(f"paper {citing_id!r} does not cite {cited_id!r}")
-    mine = frozenset(citing.authors)
-    label: Literal["self", "genuine"] = (
-        "self" if _is_self_edge(mine, citing.venue, cited, mode) else "genuine"
-    )
-    return CitationClass(citing=citing_id, cited=cited_id, label=label, mode=mode)
-
-
 def _received_counts(corpus: Corpus, mode: Mode) -> dict[str, tuple[int, int]]:
     """Per paper id: (citations received, the subset classified self).
 
     One pass over every in-corpus edge; dangling refs are skipped here.
     The citing paper's author set and venue are read once for all its refs.
+    An edge is self when the author sets meet, or in journal mode when both
+    venues are equal; a missing venue on either side makes it genuine.
     """
     papers = corpus.papers
     received: dict[str, list[int]] = {pid: [0, 0] for pid in papers}
     journal = mode == "journal"
     missing_venue_edges = 0
     for citing in papers.values():
-        mine = frozenset() if journal else frozenset(citing.authors)
+        mine = None if journal else frozenset(citing.authors)
         venue = citing.venue
         for ref in citing.refs:
             cited = papers.get(ref)
@@ -440,9 +406,12 @@ def _received_counts(corpus: Corpus, mode: Mode) -> dict[str, tuple[int, int]]:
                 continue
             entry = received[ref]
             entry[0] += 1
-            if journal and (venue is None or cited.venue is None):
-                missing_venue_edges += 1
-            elif _is_self_edge(mine, venue, cited, mode):
+            if journal:
+                if venue is None or cited.venue is None:
+                    missing_venue_edges += 1
+                elif venue == cited.venue:
+                    entry[1] += 1
+            elif not mine.isdisjoint(cited.authors):
                 entry[1] += 1
     if missing_venue_edges:
         logger.warning(
@@ -491,16 +460,6 @@ def _build_aggregate(
         h_star=h_star,
         per_paper=per_paper,
     )
-
-
-def aggregate_entity(corpus: Corpus, entity_id: str, mode: Mode) -> EntityAggregate:
-    """Aggregate counts, h, and the self-citation-filtered h* for one entity."""
-    _check_mode(mode)
-    owners = _entity_papers(corpus, mode)
-    if entity_id not in owners:
-        raise UnknownEntityError(f"no {mode} {entity_id!r} in the corpus")
-    stats = _received_counts(corpus, mode)
-    return _build_aggregate(entity_id, mode, owners[entity_id], stats)
 
 
 def aggregate_all(corpus: Corpus, mode: Mode) -> list[EntityAggregate]:
@@ -607,11 +566,21 @@ def generate_synthetic_corpus(
 # aggregate CSV interchange
 # ---------------------------------------------------------------------------
 
-def _is_count(text: str) -> bool:
-    """ASCII digits with an optional leading minus. ``int`` alone would also
-    take ``1_0``, other scripts' digits and surrounding spaces."""
+# Above this a count no longer converts to float exactly.
+_MAX_COUNT = 2**53
+
+
+def _count(text: str) -> int | None:
+    """The integer in ``text`` if it is ASCII digits with an optional leading
+    minus, else None. ``int`` alone would also take ``1_0``, other scripts'
+    digits and surrounding spaces. A magnitude of more than 16 digits reads
+    as ``_MAX_COUNT + 1``: ``int`` refuses strings over 4300 digits."""
     digits = text[1:] if text.startswith("-") else text
-    return digits.isascii() and digits.isdigit()
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    digits = digits.lstrip("0") or "0"
+    value = int(digits) if len(digits) <= 16 else _MAX_COUNT + 1
+    return -value if text.startswith("-") else value
 
 
 def _row_from_fields(
@@ -628,19 +597,23 @@ def _row_from_fields(
     entity_id, cd, c, sc, h = fields
     if not entity_id:
         raise CorpusParseError("entity_id must be non-empty", line=line, source=source)
-    if not (_is_count(cd) and _is_count(c) and _is_count(sc) and _is_count(h)):
+    counts = [_count(text) for text in (cd, c, sc, h)]
+    if None in counts:
         raise CorpusParseError(
             f"entity {entity_id!r}: counts must be integers", line=line, source=source
         )
+    if max(map(abs, counts)) > _MAX_COUNT:
+        raise CorpusParseError(f"entity {entity_id!r}: count too large", line=line, source=source)
     if entity_id in seen:
         raise CorpusIntegrityError(_located(f"duplicate entity {entity_id!r}", line, source))
     seen.add(entity_id)
+    cd_count, c_count, sc_count, h_count = counts
     try:
         return entity_id, CitationCounts(
-            citations_total=int(c),
-            self_citations=int(sc),
-            citable_documents=int(cd),
-            h_index=int(h),
+            citations_total=c_count,
+            self_citations=sc_count,
+            citable_documents=cd_count,
+            h_index=h_count,
         )
     except DomainError as exc:
         raise DomainError(_located(f"entity {entity_id!r}: {exc}", line, source)) from None
@@ -659,8 +632,8 @@ def _aggregate_rows(
     if header is None:
         yield None, CorpusParseError("empty file, expected a header row", line=1, source=source)
         return
-    if header and header[0].startswith("\ufeff"):
-        header[0] = header[0].lstrip("\ufeff")
+    if header:
+        header[0] = header[0].removeprefix("\ufeff")
     if bad:
         yield from ((None, error) for error in bad)
         return
@@ -694,10 +667,10 @@ def read_aggregate_csv(
 
     The header must be exactly ``entity_id,cd,c,sc,h`` and quoting follows
     RFC 4180. A count that is not ASCII digits (with an optional leading
-    minus) raises CorpusParseError. Rows violating the count invariants
-    (negative values, sc > c, h > cd) raise DomainError naming the
-    offending entity; duplicate entities raise CorpusIntegrityError. Line
-    numbers name the line on which a row ends.
+    minus), or whose magnitude exceeds 2**53, raises CorpusParseError. Rows
+    violating the count invariants (negative values, sc > c, h > cd) raise
+    DomainError naming the offending entity; duplicate entities raise
+    CorpusIntegrityError. Line numbers name the line on which a row ends.
     """
     rows: list[tuple[str, CitationCounts]] = []
     with _open_lines(source, "") as (lines, name):

@@ -59,6 +59,16 @@ def _tally(owners, by_id, incoming, is_self) -> dict[str, dict[str, int]]:
     return result
 
 
+def _author_self(citing: dict, cited: dict) -> bool:
+    """Author mode: the edge is self when the author sets meet."""
+    return bool(set(citing["authors"]) & set(cited["authors"]))
+
+
+def _journal_self(citing: dict, cited: dict) -> bool:
+    """Journal mode: the edge is self when both papers name the same venue."""
+    return bool(citing.get("venue")) and citing.get("venue") == cited.get("venue")
+
+
 def author_aggregates_from_jsonl(text: str) -> dict[str, dict[str, int]]:
     """Recompute every author's (cd, c, sc, h, h_star) from serialized JSONL.
 
@@ -72,12 +82,7 @@ def author_aggregates_from_jsonl(text: str) -> dict[str, dict[str, int]]:
     for paper in papers:
         for author in dict.fromkeys(paper["authors"]):
             owners.setdefault(author, []).append(paper)
-    return _tally(
-        owners,
-        by_id,
-        incoming,
-        lambda citing, cited: bool(set(citing["authors"]) & set(cited["authors"])),
-    )
+    return _tally(owners, by_id, incoming, _author_self)
 
 
 def journal_aggregates_from_jsonl(text: str) -> dict[str, dict[str, int]]:
@@ -91,13 +96,20 @@ def journal_aggregates_from_jsonl(text: str) -> dict[str, dict[str, int]]:
     for paper in papers:
         if paper.get("venue"):
             owners.setdefault(paper["venue"], []).append(paper)
-    return _tally(
-        owners,
-        by_id,
-        incoming,
-        lambda citing, cited: bool(citing.get("venue"))
-        and citing.get("venue") == cited.get("venue"),
-    )
+    return _tally(owners, by_id, incoming, _journal_self)
+
+
+def self_citation_fraction_from_jsonl(text: str, mode: str) -> float:
+    """Share of in-corpus citation edges that are self-citations under the
+    rule of ``mode``, labelling one edge at a time; 0.0 for no edges."""
+    _, by_id, incoming = _read(text)
+    is_self = {"author": _author_self, "journal": _journal_self}[mode]
+    labels = [
+        is_self(by_id[citing_id], by_id[cited_id])
+        for cited_id, citers in incoming.items()
+        for citing_id in citers
+    ]
+    return sum(labels) / len(labels) if labels else 0.0
 
 
 _VENUES = tuple(f"v{i:02d}" for i in range(1, 7))

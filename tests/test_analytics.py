@@ -23,7 +23,7 @@ from vindex.analytics import (
     round3,
 )
 from vindex.errors import DomainError
-from vindex.graph import aggregate_entity, generate_synthetic_corpus, ingest_corpus
+from vindex.graph import aggregate_all, generate_synthetic_corpus, ingest_corpus
 from vindex.metrics import CitationCounts, metrics_row
 
 
@@ -32,6 +32,11 @@ def make_row(entity_id, cd, c, sc, h, h_star=None):
         citations_total=c, self_citations=sc, citable_documents=cd, h_index=h
     )
     return metrics_row(entity_id, counts, h_star=h_star)
+
+
+def author_aggregate(corpus, author):
+    (agg,) = [agg for agg in aggregate_all(corpus, "author") if agg.entity_id == author]
+    return agg
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +392,7 @@ def test_citation_curves_sorted_independently():
             '{"id": "p5", "authors": ["a"], "refs": ["p1", "p2"]}',
         ]
     )
-    agg = aggregate_entity(corpus, "a", "author")
+    agg = author_aggregate(corpus, "a")
     curves = export_citation_curves(agg)
     assert curves.g == tuple(sorted(curves.g, reverse=True))
     assert curves.f == tuple(sorted(curves.f, reverse=True))
@@ -397,7 +402,7 @@ def test_citation_curves_sorted_independently():
 
 def test_citation_curves_csv_layout():
     corpus = generate_synthetic_corpus(5, 25, 6, 0.5)
-    agg = aggregate_entity(corpus, "a001", "author")
+    agg = author_aggregate(corpus, "a001")
     text = export_citation_curves(agg).to_csv()
     lines = text.splitlines()
     assert lines[0] == "rank,g,f"
@@ -410,7 +415,7 @@ def test_citation_curves_csv_layout():
 
 def test_citation_curves_area_identity():
     corpus = generate_synthetic_corpus(11, 90, 10, 0.7)
-    agg = aggregate_entity(corpus, "a003", "author")
+    agg = author_aggregate(corpus, "a003")
     curves = export_citation_curves(agg)
     assert sum(curves.g) == agg.c
     assert sum(curves.f) == agg.c - agg.sc
@@ -418,7 +423,7 @@ def test_citation_curves_area_identity():
 
 def test_citation_curves_need_papers():
     corpus = generate_synthetic_corpus(3, 10, 4, 0.0)
-    agg = aggregate_entity(corpus, "a001", "author")
+    agg = author_aggregate(corpus, "a001")
     empty = type(agg)(
         entity_id="hollow",
         mode="author",

@@ -279,13 +279,98 @@ def test_invalid_utf8_is_a_data_error_naming_the_line(name, kind, data, message,
 
 
 @pytest.mark.parametrize("command", ["metrics", "validate"])
-def test_leading_byte_order_mark_is_read_like_its_absence(command, corpus_path, tmp_path, capsys):
-    bom_path = tmp_path / "bom.jsonl"
-    bom_path.write_bytes(b"\xef\xbb\xbf" + corpus_path.read_bytes())
-    assert main([command, "--input", str(corpus_path)]) == EXIT_OK
-    plain = capsys.readouterr()
-    assert main([command, "--input", str(bom_path)]) == EXIT_OK
-    assert capsys.readouterr() == plain
+def test_leading_byte_order_mark_is_read_like_its_absence(
+    command, corpus_path, aggregate_path, tmp_path, capsys
+):
+    for path, kind in ((corpus_path, "corpus"), (aggregate_path, "aggregate")):
+        bom_path = tmp_path / f"bom-{path.name}"
+        bom_path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert main([command, "--input", str(path), "--kind", kind]) == EXIT_OK
+        plain = capsys.readouterr()
+        assert main([command, "--input", str(bom_path), "--kind", kind]) == EXIT_OK
+        assert capsys.readouterr() == plain
+
+
+GOOD_LINE = b'{"id": "p1", "authors": ["a"]}\n'
+TWO_MARKS = b"\xef\xbb\xbf" * 2
+
+
+@pytest.mark.parametrize(
+    "name, kind, data, message",
+    [
+        pytest.param(
+            "bom.jsonl",
+            "corpus",
+            TWO_MARKS + GOOD_LINE,
+            "line 1: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))",
+            id="jsonl-two-marks",
+        ),
+        pytest.param(
+            "bom.csv",
+            "aggregate",
+            TWO_MARKS + b"entity_id,cd,c,sc,h\nx,1,1,0,1\n",
+            "line 1: header must be exactly 'entity_id,cd,c,sc,h', "
+            "got '\\ufeffentity_id,cd,c,sc,h'",
+            id="csv-two-marks",
+        ),
+        pytest.param(
+            "int.jsonl",
+            "corpus",
+            GOOD_LINE + b'{"id": "p2", "authors": ["b"], "year": ' + b"9" * 5000 + b"}\n",
+            "line 2: invalid JSON (integer too long)",
+            id="huge-int",
+        ),
+        pytest.param(
+            "deep.jsonl",
+            "corpus",
+            GOOD_LINE + b"[" * 100_000 + b"]" * 100_000 + b"\n",
+            "line 2: invalid JSON (nested too deeply)",
+            id="deep-nesting",
+        ),
+        pytest.param(
+            "digits.csv",
+            "aggregate",
+            b"entity_id,cd,c,sc,h\nx,1," + b"9" * 5000 + b",0,1\n",
+            "line 2: entity 'x': count too large",
+            id="digits-5000",
+        ),
+        pytest.param(
+            "h-cd.csv",
+            "aggregate",
+            b"entity_id,cd,c,sc,h\nok,1,1,0,1\nx,%d,5,1,%d\n" % (10**26, 10**26),
+            "line 3: entity 'x': count too large",
+            id="h-cd-1e26",
+        ),
+        pytest.param(
+            "c.csv",
+            "aggregate",
+            b"entity_id,cd,c,sc,h\nx,1,%d,0,1\n" % 10**400,
+            "line 2: entity 'x': count too large",
+            id="c-1e400",
+        ),
+    ],
+)
+def test_refused_input_is_one_data_error_naming_its_line(
+    name, kind, data, message, tmp_path, capsys
+):
+    path = tmp_path / name
+    path.write_bytes(data)
+    assert main(["metrics", "--input", str(path), "--kind", kind]) == EXIT_DATA
+    assert capsys.readouterr() == ("", f"error: {name}, {message}\n")
+    assert main(["validate", "--input", str(path), "--kind", kind]) == EXIT_DATA
+    assert capsys.readouterr().out == f"error: {message}\n1 error(s), 0 warning(s)\n"
+
+
+def test_counts_of_exactly_2_to_the_53_are_accepted(tmp_path, capsys):
+    top = 2**53
+    path = tmp_path / "top.csv"
+    path.write_text(f"entity_id,cd,c,sc,h\ntop,{top},{top},0,{top}\nx,1,{top},{top},1\n")
+    assert main(["validate", "--input", str(path), "--kind", "aggregate"]) == EXIT_OK
+    assert capsys.readouterr().out == "0 error(s), 0 warning(s)\n"
+    assert main(["metrics", "--input", str(path), "--kind", "aggregate"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith(f"top,{top},1,{top},0,1.000,{top},1,,1.000,1.000,{top}.000,1,")
+    assert lines[2].startswith(f"x,1,2,{top},{top},{top}.000,1,2,,0.000,0.000,0.000,2,")
 
 
 MESSY_CORPUS = (

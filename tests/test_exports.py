@@ -1,0 +1,36 @@
+"""The export lists name only what exists, and deleted names stay deleted."""
+
+from __future__ import annotations
+
+import pytest
+
+import vindex
+from vindex import analytics, cli, errors, graph, metrics
+
+SUBMODULES = (graph, metrics, analytics, cli)
+
+
+@pytest.mark.parametrize("module", (vindex, *SUBMODULES), ids=lambda module: module.__name__)
+def test_every_exported_name_resolves(module):
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []
+
+
+def test_package_exports_only_submodule_names():
+    error_classes = {
+        name
+        for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, errors.VindexError)
+    }
+    allowed = set().union(*(module.__all__ for module in SUBMODULES))
+    unknown = set(vindex.__all__) - allowed - error_classes - {"__version__"}
+    assert unknown == set()
+
+
+@pytest.mark.parametrize(
+    "name", ["CitationClass", "classify_citation", "aggregate_entity", "RunConfig"]
+)
+def test_deleted_names_are_gone(name):
+    for module in (vindex, graph, cli):
+        assert not hasattr(module, name), f"{module.__name__}.{name}"
+        assert name not in module.__all__

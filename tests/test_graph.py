@@ -22,10 +22,8 @@ from vindex.graph import (
     Corpus,
     Paper,
     aggregate_all,
-    aggregate_entity,
     audit_aggregate,
     audit_corpus,
-    classify_citation,
     generate_synthetic_corpus,
     ingest_corpus,
     read_aggregate_csv,
@@ -33,10 +31,12 @@ from vindex.graph import (
     serialize_corpus,
     write_aggregate_csv,
 )
+from vindex.metrics import CitationCounts
 
 from oracles import (
     author_aggregates_from_jsonl,
     journal_aggregates_from_jsonl,
+    self_citation_fraction_from_jsonl,
     synthetic_corpus_jsonl,
 )
 
@@ -64,6 +64,11 @@ HANDMADE = jsonl(
 @pytest.fixture()
 def handmade() -> Corpus:
     return ingest_corpus(HANDMADE.splitlines())
+
+
+def entities(corpus: Corpus, mode: str) -> dict:
+    """Every aggregate of ``corpus`` in ``mode``, keyed by entity id."""
+    return {agg.entity_id: agg for agg in aggregate_all(corpus, mode)}
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +179,9 @@ def test_ingest_normalizes_empty_venue():
         '{"id": "p1", "authors": ["a", null]}',
         '{"id": "p1", "authors": ["a"], "refs": [""]}',
         '{"id": "p1", "authors": ["a"], "refs": ["p2", false]}',
+        # json.loads raises ValueError and RecursionError for these two
+        pytest.param('{"id": "p1", "authors": ["a"], "year": ' + "9" * 5000 + "}", id="huge-int"),
+        pytest.param("[" * 100_000 + "]" * 100_000, id="deep-nesting"),
     ],
 )
 def test_ingest_rejects_malformed_line(line):
@@ -214,6 +222,9 @@ BOM_CORPUS = (
 )
 
 
+BOM_TABLE = b"entity_id,cd,c,sc,h\nx,1,1,0,1\n"
+
+
 def test_ingest_and_audit_drop_a_leading_byte_order_mark(tmp_path):
     path = tmp_path / "bom.jsonl"
     path.write_bytes(b"\xef\xbb\xbf" + BOM_CORPUS)
@@ -223,6 +234,25 @@ def test_ingest_and_audit_drop_a_leading_byte_order_mark(tmp_path):
         report = audit_corpus(source)
         assert report.errors == []
         assert report.warnings == audit_corpus(BOM_CORPUS).warnings
+    table = tmp_path / "bom.csv"
+    table.write_bytes(b"\xef\xbb\xbf" + BOM_TABLE)
+    for source in (table, table.read_bytes()):
+        assert read_aggregate_csv(source) == read_aggregate_csv(BOM_TABLE)
+        assert audit_aggregate(source).errors == []
+
+
+def test_only_one_leading_byte_order_mark_is_dropped():
+    twice = b"\xef\xbb\xbf" * 2
+    with pytest.raises(CorpusParseError, match="^line 1: invalid JSON"):
+        ingest_corpus(twice + BOM_CORPUS)
+    header_error = (
+        "line 1: header must be exactly 'entity_id,cd,c,sc,h', "
+        "got '\\ufeffentity_id,cd,c,sc,h'"
+    )
+    with pytest.raises(CorpusParseError) as excinfo:
+        read_aggregate_csv(twice + BOM_TABLE)
+    assert str(excinfo.value) == header_error
+    assert audit_aggregate(twice + BOM_TABLE).errors == [header_error]
 
 
 def test_byte_order_mark_after_line_1_is_still_rejected():
@@ -279,6 +309,27 @@ def test_serialize_omits_missing_optional_fields():
 # edge classification
 # ---------------------------------------------------------------------------
 
+def received(corpus: Corpus, paper_id: str, mode: str) -> set[tuple[int, int]]:
+    """(citations, self-citations) that ``paper_id`` received, as seen by
+    every entity owning it in ``mode``."""
+    return {
+        (item.citations_received, item.self_citations_received)
+        for agg in aggregate_all(corpus, mode)
+        for item in agg.per_paper
+        if item.paper_id == paper_id
+    }
+
+
+def edge_label(citing: str, cited: str, mode: str) -> str:
+    """Label the HANDMADE edge citing -> cited through the aggregation of a
+    corpus holding only those two papers and that one edge."""
+    records = {record["id"]: record for record in map(json.loads, HANDMADE.splitlines())}
+    pair = jsonl(records[cited] | {"refs": []}, records[citing] | {"refs": [cited]})
+    labels = {(1, 0): "genuine", (1, 1): "self"}
+    (tally,) = received(ingest_corpus(pair.splitlines()), cited, mode)
+    return labels[tally]
+
+
 @pytest.mark.parametrize(
     "citing, cited, label",
     [
@@ -289,10 +340,8 @@ def test_serialize_omits_missing_optional_fields():
         ("p4", "p3", "self"),      # shared author cara
     ],
 )
-def test_classify_author_mode(handmade, citing, cited, label):
-    edge = classify_citation(handmade, citing, cited, "author")
-    assert edge.label == label
-    assert edge.mode == "author"
+def test_classify_author_mode(citing, cited, label):
+    assert edge_label(citing, cited, "author") == label
 
 
 @pytest.mark.parametrize(
@@ -303,30 +352,25 @@ def test_classify_author_mode(handmade, citing, cited, label):
         ("p4", "p3", "genuine"),   # J2 cites J1
     ],
 )
-def test_classify_journal_mode(handmade, citing, cited, label):
-    assert classify_citation(handmade, citing, cited, "journal").label == label
+def test_classify_journal_mode(citing, cited, label):
+    assert edge_label(citing, cited, "journal") == label
 
 
 def test_classify_missing_venue_is_genuine():
     corpus = ingest_corpus(
         ['{"id": "p1", "authors": ["a"], "venue": "J1"}', '{"id": "p2", "authors": ["b"], "refs": ["p1"]}']
     )
-    assert classify_citation(corpus, "p2", "p1", "journal").label == "genuine"
-
-
-def test_classify_requires_an_actual_edge(handmade):
-    with pytest.raises(DomainError):
-        classify_citation(handmade, "p1", "p2", "author")
+    assert received(corpus, "p1", "journal") == {(1, 0)}
 
 
 def test_classify_unknown_paper(handmade):
     with pytest.raises(UnknownEntityError):
-        classify_citation(handmade, "p9", "p1", "author")
+        handmade.paper("p9")
 
 
 def test_classify_unknown_mode(handmade):
     with pytest.raises(DomainError):
-        classify_citation(handmade, "p2", "p1", "institution")
+        aggregate_all(handmade, "institution")
 
 
 # ---------------------------------------------------------------------------
@@ -336,30 +380,32 @@ def test_classify_unknown_mode(handmade):
 def test_aggregate_author_hand_counts(handmade):
     # ann owns p1 (3 received, 2 self: p2 shares ann, p4 shares bob) and
     # p2 (1 received, 0 self)
-    ann = aggregate_entity(handmade, "ann", "author")
+    authors = entities(handmade, "author")
+    ann = authors["ann"]
     assert (ann.cd, ann.c, ann.sc, ann.h, ann.h_star) == (2, 4, 2, 1, 1)
     assert [item.paper_id for item in ann.per_paper] == ["p1", "p2"]
     assert [item.citations_received for item in ann.per_paper] == [3, 1]
     assert [item.self_citations_received for item in ann.per_paper] == [2, 0]
 
-    bob = aggregate_entity(handmade, "bob", "author")
+    bob = authors["bob"]
     assert (bob.cd, bob.c, bob.sc, bob.h, bob.h_star) == (2, 3, 2, 1, 1)
 
-    cara = aggregate_entity(handmade, "cara", "author")
+    cara = authors["cara"]
     assert (cara.cd, cara.c, cara.sc, cara.h, cara.h_star) == (2, 1, 1, 1, 0)
 
 
 def test_aggregate_journal_hand_counts(handmade):
     # J1 owns p1 and p3; edges into J1: p2->p1 (J2, genuine),
     # p3->p1 (J1, self), p4->p1 (J2, genuine), p4->p3 (J2, genuine)
-    j1 = aggregate_entity(handmade, "J1", "journal")
+    journals = entities(handmade, "journal")
+    j1 = journals["J1"]
     assert (j1.cd, j1.c, j1.sc, j1.h, j1.h_star) == (2, 4, 1, 1, 1)
-    j2 = aggregate_entity(handmade, "J2", "journal")
+    j2 = journals["J2"]
     assert (j2.cd, j2.c, j2.sc, j2.h, j2.h_star) == (2, 1, 0, 1, 1)
 
 
 def test_aggregate_counts_view(handmade):
-    ann = aggregate_entity(handmade, "ann", "author")
+    ann = entities(handmade, "author")["ann"]
     counts = ann.counts()
     assert counts.citations_total == ann.c
     assert counts.self_citations == ann.sc
@@ -367,22 +413,9 @@ def test_aggregate_counts_view(handmade):
     assert counts.h_index == ann.h
 
 
-def test_aggregate_unknown_entity(handmade):
-    with pytest.raises(UnknownEntityError):
-        aggregate_entity(handmade, "nobody", "author")
-    with pytest.raises(UnknownEntityError):
-        aggregate_entity(handmade, "J9", "journal")
-
-
 def test_aggregate_all_is_lexicographic(handmade):
     names = [agg.entity_id for agg in aggregate_all(handmade, "author")]
     assert names == sorted(names) == ["ann", "bob", "cara"]
-
-
-def test_aggregate_all_matches_aggregate_entity(handmade):
-    for mode in ("author", "journal"):
-        for agg in aggregate_all(handmade, mode):
-            assert agg == aggregate_entity(handmade, agg.entity_id, mode)
 
 
 def test_papers_without_venue_are_not_journal_entities():
@@ -405,7 +438,7 @@ def test_journal_mode_warns_about_missing_venues(caplog):
 def test_author_credit_is_not_double_counted():
     # one author listed once per paper even if the paper repeats the name
     corpus = ingest_corpus(['{"id": "p1", "authors": ["a", "a"]}'])
-    agg = aggregate_entity(corpus, "a", "author")
+    agg = entities(corpus, "author")["a"]
     assert agg.cd == 1
 
 
@@ -413,7 +446,7 @@ def test_dangling_refs_do_not_enter_tallies():
     corpus = ingest_corpus(
         ['{"id": "p1", "authors": ["a"]}', '{"id": "p2", "authors": ["a"], "refs": ["p1", "ghost"]}']
     )
-    agg = aggregate_entity(corpus, "a", "author")
+    agg = entities(corpus, "author")["a"]
     assert (agg.c, agg.sc) == (1, 1)
 
 
@@ -584,15 +617,9 @@ def test_aggregation_matches_the_oracles_on_messy_corpora(mode, caplog):
             for agg in aggregate_all(corpus, mode)
         }
         assert actual == oracle[mode](text), seed
-        # classify_citation and the aggregation pass apply one rule
-        labels = [
-            classify_citation(corpus, paper.id, ref, mode).label
-            for paper in corpus
-            for ref in paper.refs
-            if ref in corpus
-        ]
-        expected = labels.count("self") / len(labels) if labels else 0.0
-        assert self_citation_fraction(corpus, mode) == expected
+        assert self_citation_fraction(corpus, mode) == self_citation_fraction_from_jsonl(
+            text, mode
+        ), seed
 
 
 def test_h_star_never_exceeds_h():
@@ -754,6 +781,11 @@ CSV_HEADER = "entity_id,cd,c,sc,h"
         pytest.param([CSV_HEADER, "x,5,10,20,3"], DomainError, id="sc-above-c"),
         pytest.param([CSV_HEADER, "x,3,100,0,4"], DomainError, id="h-above-cd"),
         pytest.param([CSV_HEADER, "x,-1,20,5,3"], DomainError, id="negative"),
+        pytest.param([CSV_HEADER, f"x,1,{'9' * 5000},0,1"], CorpusParseError, id="digits-5000"),
+        pytest.param([CSV_HEADER, f"x,{10**26},5,1,{10**26}"], CorpusParseError, id="h-cd-1e26"),
+        pytest.param([CSV_HEADER, f"x,1,{10**400},0,1"], CorpusParseError, id="c-1e400"),
+        pytest.param([CSV_HEADER, f"x,1,{2**53 + 1},0,1"], CorpusParseError, id="c-2**53+1"),
+        pytest.param([CSV_HEADER, f"x,1,-{'9' * 5000},0,1"], CorpusParseError, id="negative-5000"),
         pytest.param(
             [CSV_HEADER, "x,1,1,0,1", "x,2,2,0,1"], CorpusIntegrityError, id="duplicate"
         ),
@@ -765,6 +797,17 @@ def test_aggregate_csv_strict_and_audit_agree(lines, error):
         read_aggregate_csv(lines)
     assert type(excinfo.value) is error
     assert audit_aggregate(lines).errors == [str(excinfo.value)]
+
+
+def test_aggregate_csv_reads_counts_up_to_2_to_the_53():
+    top = 2**53
+    rows = read_aggregate_csv(
+        [CSV_HEADER, f"top,{top},{top},{top},{top}", f"zeros,{'0' * 5000}1,{top:020d},0,1"]
+    )
+    assert rows == [
+        ("top", CitationCounts(top, top, top, top)),
+        ("zeros", CitationCounts(top, 0, 1, 1)),
+    ]
 
 
 def test_readers_locate_a_bad_byte_in_a_text_stream(tmp_path):
