@@ -25,8 +25,8 @@ import codecs
 import csv
 import io
 import json
-import logging
 import random
+import re
 from bisect import insort
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -41,8 +41,6 @@ from .errors import (
     VindexError,
 )
 from .metrics import CitationCounts, h_index
-
-logger = logging.getLogger(__name__)
 
 Mode = Literal["author", "journal"]
 
@@ -92,11 +90,13 @@ class Corpus:
 
     ``dangling_refs`` counts references whose target is absent from the
     corpus. They stay recorded on their papers (serialization preserves
-    them) but never enter any citation tally.
+    them) but never enter any citation tally. ``self_loops`` counts the
+    self-references ``ingest_corpus`` stripped from refs.
     """
 
     papers: dict[str, Paper]
     dangling_refs: int = 0
+    self_loops: int = 0
 
     def __len__(self) -> int:
         return len(self.papers)
@@ -112,6 +112,18 @@ class Corpus:
             return self.papers[paper_id]
         except KeyError:
             raise UnknownEntityError(f"unknown paper id {paper_id!r}") from None
+
+    @property
+    def missing_venue_edges(self) -> int:
+        """In-corpus citation edges with no venue on one side or both;
+        journal mode classifies them genuine."""
+        papers = self.papers
+        venueless = {pid for pid, paper in papers.items() if paper.venue is None}
+        count = 0
+        for paper in papers.values():
+            targets = papers if paper.venue is None else venueless
+            count += sum(map(targets.__contains__, paper.refs))
+        return count
 
 
 class PaperCitations(NamedTuple):
@@ -257,6 +269,20 @@ def _string_list(value: object, what: str, line: int, source: str | None) -> lis
     return value
 
 
+# Decoded UTF-8 holds no surrogate, so only a line with a JSON escape of one
+# can give a string the lone surrogate that no UTF-8 output can write.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _refuse_lone_surrogates(paper: Paper, line: int, source: str | None) -> None:
+    # An escaped pair decodes to one character and passes.
+    fields = (paper.id,), paper.authors, (paper.venue or "",), paper.refs
+    for what, values in zip(("id", "authors", "venue", "refs"), fields):
+        if _SURROGATE.search("".join(values)):
+            raise CorpusParseError(f"'{what}' holds a lone surrogate", line=line, source=source)
+
+
 def _paper_from_record(record: object, line: int, source: str | None) -> tuple[Paper, int]:
     """Validate one decoded JSONL record; returns the paper and the number of
     self-referencing entries stripped from its refs."""
@@ -309,6 +335,8 @@ def _corpus_records(
             if not text.strip():
                 continue
             paper, loops = _paper_from_record(json.loads(text), line_no, source)
+            if _SURROGATE_ESCAPE.search(text):
+                _refuse_lone_surrogates(paper, line_no, source)
         except CorpusParseError as exc:
             yield line_no, None, 0, exc
         except (ValueError, RecursionError) as exc:
@@ -339,23 +367,21 @@ def ingest_corpus(source: str | Path | IO | bytes | Iterable[str]) -> Corpus:
 
     Accepts a path, an open text or binary file, raw bytes, or an iterable
     of lines. Lines end only at a line feed. Blank lines are skipped. A
-    malformed line aborts with CorpusParseError carrying its line number;
-    a duplicate id aborts with CorpusIntegrityError. Self-referencing
-    entries in ``refs`` are stripped with a logged warning, duplicate refs
-    are collapsed, and refs pointing outside the corpus are counted as
-    dangling.
+    malformed line, or a string holding a lone surrogate, aborts with
+    CorpusParseError carrying its line number; a duplicate id aborts with
+    CorpusIntegrityError. Self-references in ``refs`` are stripped and
+    counted as ``self_loops``, duplicate refs are collapsed, and refs
+    pointing outside the corpus are counted as dangling.
     """
     papers: dict[str, Paper] = {}
-    stripped_loops = 0
+    self_loops = 0
     with _open_lines(source, "\n") as (lines, name):
         for _, paper, loops, error in _corpus_records(lines, name):
             if error is not None:
                 raise error
             papers[paper.id] = paper
-            stripped_loops += loops
-    if stripped_loops:
-        logger.warning("stripped %d self-referencing citation(s)", stripped_loops)
-    return Corpus(papers=papers, dangling_refs=_dangling_refs(papers))
+            self_loops += loops
+    return Corpus(papers=papers, dangling_refs=_dangling_refs(papers), self_loops=self_loops)
 
 
 def serialize_corpus(corpus: Corpus) -> str:
@@ -396,7 +422,6 @@ def _received_counts(corpus: Corpus, mode: Mode) -> dict[str, tuple[int, int]]:
     papers = corpus.papers
     received: dict[str, list[int]] = {pid: [0, 0] for pid in papers}
     journal = mode == "journal"
-    missing_venue_edges = 0
     for citing in papers.values():
         mine = None if journal else frozenset(citing.authors)
         venue = citing.venue
@@ -407,17 +432,10 @@ def _received_counts(corpus: Corpus, mode: Mode) -> dict[str, tuple[int, int]]:
             entry = received[ref]
             entry[0] += 1
             if journal:
-                if venue is None or cited.venue is None:
-                    missing_venue_edges += 1
-                elif venue == cited.venue:
+                if venue is not None and venue == cited.venue:
                     entry[1] += 1
             elif not mine.isdisjoint(cited.authors):
                 entry[1] += 1
-    if missing_venue_edges:
-        logger.warning(
-            "%d citation edge(s) lack venue metadata and were classified genuine",
-            missing_venue_edges,
-        )
     return {pid: (tallies[0], tallies[1]) for pid, tallies in received.items()}
 
 
@@ -619,6 +637,17 @@ def _row_from_fields(
         raise DomainError(_located(f"entity {entity_id!r}: {exc}", line, source)) from None
 
 
+def _csv_rows(reader, source: str | None) -> Iterator[list[str] | CorpusParseError]:
+    """The rows of ``reader``, and the error in place of a row it refuses."""
+    while True:
+        try:
+            yield next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            yield CorpusParseError(str(exc), line=reader.line_num, source=source)
+
+
 def _aggregate_rows(
     lines: Iterable[str | bytes], source: str | None
 ) -> Iterator[tuple[tuple[str, CitationCounts] | None, VindexError | None]]:
@@ -628,15 +657,16 @@ def _aggregate_rows(
     that is missing, undecodable or wrong ends the pass."""
     bad: list[CorpusParseError] = []
     reader = csv.reader(_csv_lines(lines, source, bad))
-    header = next(reader, None)
+    rows = _csv_rows(reader, source)
+    header = next(rows, None)
     if header is None:
         yield None, CorpusParseError("empty file, expected a header row", line=1, source=source)
         return
+    if bad or isinstance(header, CorpusParseError):
+        yield from ((None, error) for error in bad or [header])
+        return
     if header:
         header[0] = header[0].removeprefix("\ufeff")
-    if bad:
-        yield from ((None, error) for error in bad)
-        return
     if tuple(header) != AGGREGATE_CSV_COLUMNS:
         yield None, CorpusParseError(
             f"header must be exactly {','.join(AGGREGATE_CSV_COLUMNS)!r}, "
@@ -646,10 +676,12 @@ def _aggregate_rows(
         )
         return
     seen: set[str] = set()
-    for fields in reader:
+    for fields in rows:
         if bad:
             yield from ((None, error) for error in bad)
             bad.clear()
+        elif isinstance(fields, CorpusParseError):
+            yield None, fields
         elif fields:
             try:
                 row = _row_from_fields(fields, seen, reader.line_num, source)
@@ -666,11 +698,12 @@ def read_aggregate_csv(
     CSV pass, raising its first error.
 
     The header must be exactly ``entity_id,cd,c,sc,h`` and quoting follows
-    RFC 4180. A count that is not ASCII digits (with an optional leading
-    minus), or whose magnitude exceeds 2**53, raises CorpusParseError. Rows
-    violating the count invariants (negative values, sc > c, h > cd) raise
-    DomainError naming the offending entity; duplicate entities raise
-    CorpusIntegrityError. Line numbers name the line on which a row ends.
+    RFC 4180. A field over ``csv.field_size_limit()``, or a count that is
+    not ASCII digits (with an optional leading minus) or whose magnitude
+    exceeds 2**53, raises CorpusParseError. Rows violating the count
+    invariants (negative values, sc > c, h > cd) raise DomainError naming
+    the offending entity; duplicate entities raise CorpusIntegrityError.
+    Line numbers name the line on which a row ends.
     """
     rows: list[tuple[str, CitationCounts]] = []
     with _open_lines(source, "") as (lines, name):

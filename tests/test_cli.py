@@ -6,8 +6,10 @@ codes and captured streams without paying interpreter startup per case.
 
 from __future__ import annotations
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -348,6 +350,28 @@ TWO_MARKS = b"\xef\xbb\xbf" * 2
             "line 2: entity 'x': count too large",
             id="c-1e400",
         ),
+        *(
+            pytest.param(
+                "surrogate.jsonl",
+                "corpus",
+                GOOD_LINE + record + b"\n",
+                f"line 2: '{what}' holds a lone surrogate",
+                id=f"surrogate-{what}",
+            )
+            for what, record in [
+                ("id", b'{"id": "p\\udfff", "authors": ["a"]}'),
+                ("authors", b'{"id": "p2", "authors": ["b", "a\\ud800"]}'),
+                ("venue", b'{"id": "p2", "authors": ["b"], "venue": "J\\uDBFF"}'),
+                ("refs", b'{"id": "p2", "authors": ["b"], "refs": ["p1", "\\ud800x"]}'),
+            ]
+        ),
+        pytest.param(
+            "field.csv",
+            "aggregate",
+            b"entity_id,cd,c,sc,h\nok,1,1,0,1\n" + b"x" * 131073 + b",1,1,0,1\nz,1,1,0,1\n",
+            "line 3: field larger than field limit (131072)",
+            id="csv-field-limit",
+        ),
     ],
 )
 def test_refused_input_is_one_data_error_naming_its_line(
@@ -574,6 +598,41 @@ def test_compare_reproduces_known_journal_drop(journal_table, tmp_path, capsys):
     assert shifts["Inform Sciences"] == (10, 15, -5)
 
 
+WARNED_CORPUS = (
+    '{"id": "p1", "authors": ["ann"], "venue": "J1", "refs": []}\n'
+    '{"id": "p2", "authors": ["bob"], "refs": ["p1", "ghost"]}\n'
+    '{"id": "p3", "authors": ["ann", "cara"], "venue": "J1", "refs": ["p1", "p3"]}\n'
+    '{"id": "p4", "authors": ["bob"], "venue": "", "refs": ["p2", "p3", "p4"]}\n'
+)
+
+
+@pytest.mark.parametrize("command", ["metrics", "compare"])
+@pytest.mark.parametrize(
+    "mode, warnings",
+    [
+        ("author", ["warning: stripped 2 self-referencing citation(s)"]),
+        (
+            "journal",
+            [
+                "warning: stripped 2 self-referencing citation(s)",
+                "warning: 3 citation edge(s) lack venue metadata and were classified genuine",
+            ],
+        ),
+    ],
+)
+def test_corpus_warnings_go_to_the_stderr_of_each_call(command, mode, warnings, tmp_path):
+    path = tmp_path / "warned.jsonl"
+    path.write_text(WARNED_CORPUS, encoding="utf-8")
+    outputs = []
+    for _ in range(2):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main([command, "--input", str(path), "--mode", mode]) == EXIT_OK
+        assert err.getvalue().splitlines() == warnings
+        outputs.append(out.getvalue())
+    assert outputs[0] == outputs[1] != ""
+
+
 def test_compare_aggregate_input(aggregate_path, capsys):
     code = main(
         [
@@ -599,11 +658,12 @@ def test_compare_aggregate_input(aggregate_path, capsys):
 # ---------------------------------------------------------------------------
 
 def test_import_loads_no_numpy_or_scipy():
+    # nor logging: warnings are the CLI's to print, so the library keeps none
     src = str(Path(vindex.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     probe = (
         "import sys, vindex, vindex.cli\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy', 'logging')))"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True

@@ -28,7 +28,18 @@ def test_package_exports_only_submodule_names():
 
 
 @pytest.mark.parametrize(
-    "name", ["CitationClass", "classify_citation", "aggregate_entity", "RunConfig"]
+    "name",
+    [
+        "CitationClass",
+        "classify_citation",
+        "aggregate_entity",
+        "RunConfig",
+        "cmd_metrics",
+        "cmd_validate",
+        "cmd_synth",
+        "cmd_compare",
+        "build_parser",
+    ],
 )
 def test_deleted_names_are_gone(name):
     for module in (vindex, graph, cli):

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import io
 import json
-import logging
 import random
 
 import pytest
@@ -36,6 +36,7 @@ from vindex.metrics import CitationCounts
 from oracles import (
     author_aggregates_from_jsonl,
     journal_aggregates_from_jsonl,
+    missing_venue_edges_from_jsonl,
     self_citation_fraction_from_jsonl,
     synthetic_corpus_jsonl,
 )
@@ -131,11 +132,19 @@ def test_ingest_counts_dangling_refs():
     assert corpus.paper("p1").refs == ("ghost", "p2")
 
 
-def test_ingest_strips_self_loops_and_warns(caplog):
-    with caplog.at_level(logging.WARNING, logger="vindex.graph"):
-        corpus = ingest_corpus(['{"id": "p1", "authors": ["a"], "refs": ["p1"]}'])
+def test_ingest_strips_self_loops_and_warns():
+    # the CLI warns with the count the corpus carries
+    corpus = ingest_corpus(
+        [
+            '{"id": "p1", "authors": ["a"], "refs": ["p1"]}',
+            '{"id": "p2", "authors": ["b"], "refs": ["p1", "p2", "p2"]}',
+            '{"id": "p3", "authors": ["c"], "refs": ["p1"]}',
+        ]
+    )
     assert corpus.paper("p1").refs == ()
-    assert any("self-referencing" in message for message in caplog.messages)
+    assert corpus.paper("p2").refs == ("p1",)
+    assert corpus.self_loops == 2
+    assert ingest_corpus(['{"id": "p1", "authors": ["a"]}']).self_loops == 0
 
 
 def test_ingest_strips_one_self_reference_among_duplicates():
@@ -263,6 +272,38 @@ def test_byte_order_mark_after_line_1_is_still_rejected():
     with pytest.raises(CorpusParseError, match="^line 2: invalid JSON"):
         ingest_corpus(line_2)
     assert [e.split(" (")[0] for e in audit_corpus(line_2).errors] == ["line 2: invalid JSON"]
+
+
+@pytest.mark.parametrize(
+    "record, what",
+    [
+        ('{"id": "p\\udfff", "authors": ["a"]}', "id"),
+        ('{"id": "p2", "authors": ["a", "b\\uD800"]}', "authors"),
+        ('{"id": "p2", "authors": ["a"], "venue": "\\udbffJ"}', "venue"),
+        ('{"id": "p2", "authors": ["a"], "refs": ["p1", "\\ude00"]}', "refs"),
+        # a pair in the wrong order is two lone surrogates
+        ('{"id": "p2", "authors": ["\\ude00\\ud83d"]}', "authors"),
+    ],
+)
+def test_ingest_and_audit_reject_a_lone_surrogate(record, what):
+    lines = ['{"id": "p1", "authors": ["a"]}', record]
+    with pytest.raises(CorpusParseError) as excinfo:
+        ingest_corpus(lines)
+    assert str(excinfo.value) == f"line 2: '{what}' holds a lone surrogate"
+    assert audit_corpus(lines).errors == [str(excinfo.value)]
+
+
+def test_ingest_keeps_escaped_pairs_and_other_escapes():
+    # an escaped pair, a non-surrogate escape and an escaped backslash
+    line = (
+        '{"id": "p\\ud83d\\ude00", "authors": ["M\\u00fcller", "\\\\ud800"], '
+        '"venue": "J\\uD83D\\uDE00"}'
+    )
+    corpus = ingest_corpus([line])
+    paper = corpus.paper("p\U0001f600")
+    assert paper.authors == ("M\u00fcller", "\\ud800")
+    assert paper.venue == "J\U0001f600"
+    assert audit_corpus([line]).ok
 
 
 def test_ingest_rejects_duplicate_ids():
@@ -426,13 +467,21 @@ def test_papers_without_venue_are_not_journal_entities():
     assert names == ["J1"]
 
 
-def test_journal_mode_warns_about_missing_venues(caplog):
+def test_journal_mode_warns_about_missing_venues():
+    # the CLI warns with this count in journal mode; each edge counts genuine
     corpus = ingest_corpus(
-        ['{"id": "p1", "authors": ["a"], "venue": "J1"}', '{"id": "p2", "authors": ["b"], "refs": ["p1"]}']
+        [
+            '{"id": "p1", "authors": ["a"], "venue": "J1"}',
+            '{"id": "p2", "authors": ["b"], "refs": ["p1", "ghost"]}',
+            '{"id": "p3", "authors": ["c"], "venue": "J1", "refs": ["p1", "p2"]}',
+            '{"id": "p4", "authors": ["d"], "venue": "", "refs": ["p2", "p3"]}',
+        ]
     )
-    with caplog.at_level(logging.WARNING, logger="vindex.graph"):
-        aggregate_all(corpus, "journal")
-    assert any("venue" in message for message in caplog.messages)
+    # p2->p1, p3->p2, p4->p2 and p4->p3 lack a venue; p3->p1 and the
+    # dangling ref do not count
+    assert corpus.missing_venue_edges == 4
+    assert {agg.entity_id: agg.sc for agg in aggregate_all(corpus, "journal")} == {"J1": 1}
+    assert ingest_corpus(HANDMADE.splitlines()).missing_venue_edges == 0
 
 
 def test_author_credit_is_not_double_counted():
@@ -607,7 +656,7 @@ def test_messy_corpora_hold_every_anomaly():
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_aggregation_matches_the_oracles_on_messy_corpora(mode, caplog):
+def test_aggregation_matches_the_oracles_on_messy_corpora(mode):
     oracle = {"author": author_aggregates_from_jsonl, "journal": journal_aggregates_from_jsonl}
     for seed in range(60):
         text = messy_corpus(seed)
@@ -620,6 +669,7 @@ def test_aggregation_matches_the_oracles_on_messy_corpora(mode, caplog):
         assert self_citation_fraction(corpus, mode) == self_citation_fraction_from_jsonl(
             text, mode
         ), seed
+        assert corpus.missing_venue_edges == missing_venue_edges_from_jsonl(text), seed
 
 
 def test_h_star_never_exceeds_h():
@@ -790,6 +840,8 @@ CSV_HEADER = "entity_id,cd,c,sc,h"
             [CSV_HEADER, "x,1,1,0,1", "x,2,2,0,1"], CorpusIntegrityError, id="duplicate"
         ),
         pytest.param(b"entity_id,cd,c,sc,h\nx\xfe,1,1,0,1\n", CorpusParseError, id="bad-byte"),
+        pytest.param([CSV_HEADER, f"{'x' * 131073},1,1,0,1"], CorpusParseError, id="field-limit"),
+        pytest.param([f"{'x' * 131073},cd,c,sc,h"], CorpusParseError, id="header-field-limit"),
     ],
 )
 def test_aggregate_csv_strict_and_audit_agree(lines, error):
@@ -797,6 +849,16 @@ def test_aggregate_csv_strict_and_audit_agree(lines, error):
         read_aggregate_csv(lines)
     assert type(excinfo.value) is error
     assert audit_aggregate(lines).errors == [str(excinfo.value)]
+
+
+def test_aggregate_csv_audit_reads_on_after_an_oversized_field():
+    lines = [CSV_HEADER, f"{'x' * 131073},1,1,0,1", "ok,1,1,0,1", "sc,5,10,20,3"]
+    assert audit_aggregate(lines).errors == [
+        "line 2: field larger than field limit (131072)",
+        "line 4: entity 'sc': self_citations (20) exceed citations_total (10)",
+    ]
+    # the limit is process-wide state, left as it was
+    assert csv.field_size_limit() == 131072
 
 
 def test_aggregate_csv_reads_counts_up_to_2_to_the_53():
