@@ -168,19 +168,18 @@ class EntityAggregate:
 
 @contextmanager
 def _open_lines(
-    source: str | Path | IO | bytes | Iterable[str], newline: str
-) -> Iterator[tuple[Iterable[str | bytes], str | None]]:
-    """Open any reasonable source as lines, plus a name for messages.
+    source: str | Path | IO | bytes | Iterable[str],
+) -> Iterator[tuple[Iterable[bytes], str | None]]:
+    """Open any reasonable source as UTF-8 byte lines, plus a name for
+    messages.
 
     Paths are streamed. Paths, bytes, binary files and UTF-8 text files
-    (read through their binary buffer) give undecoded byte lines split only
-    at line feeds; the readers decode each line with ``_decode``, so an
-    invalid byte is reported with its line number. Other text is split as
-    ``open`` splits it with ``newline``: a line feed splits only at line
-    feeds, as JSONL needs, and ``""`` keeps every line ending for
-    ``csv.reader`` to interpret, so quoted newlines survive. Unicode line
-    breaks such as U+2028 never split a line. An iterable of strings is
-    taken as lines already split.
+    (read through their binary buffer) give their bytes split only at line
+    feeds. Other text, such as an ``io.StringIO``, is encoded to UTF-8 and
+    split the same way, and an iterable of strings is taken as lines already
+    split, each encoded. Text is encoded with ``surrogatepass``, so a raw
+    lone surrogate becomes a byte sequence that ``_decode`` refuses with its
+    line. Unicode line breaks such as U+2028 never split a line.
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
@@ -200,18 +199,17 @@ def _open_lines(
             name = Path(name).name
         else:
             name = None
-        if isinstance(data, bytes):
-            yield io.BytesIO(data), name
-        else:
-            yield io.StringIO(data, newline=newline), name
+        yield io.BytesIO(_utf8(data)), name
         return
-    yield source, None
+    yield map(_utf8, source), None
 
 
-def _decode(raw: str | bytes, line: int, source: str | None) -> str:
-    """One input line as text; a byte line must be valid UTF-8."""
-    if isinstance(raw, str):
-        return raw
+def _utf8(data: str | bytes) -> bytes:
+    return data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
+
+
+def _decode(raw: bytes, line: int, source: str | None) -> str:
+    """One input line as text; it must be valid UTF-8."""
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -221,19 +219,15 @@ def _decode(raw: str | bytes, line: int, source: str | None) -> str:
 
 
 def _csv_lines(
-    lines: Iterable[str | bytes], source: str | None, bad: list[CorpusParseError]
+    lines: Iterable[bytes], source: str | None, bad: list[CorpusParseError]
 ) -> Iterator[str]:
     """Text lines for ``csv.reader``, split where text mode with
-    ``newline=""`` splits them: a byte line is split again at bare carriage
-    returns and decoded. An undecodable line goes into ``bad`` and on to the
-    reader with replacement characters, so the reader keeps its place and
-    the caller can reject the row it lands in."""
+    ``newline=""`` splits them: each byte line is split again at bare
+    carriage returns and decoded. An undecodable line goes into ``bad`` and
+    on to the reader with replacement characters, so the reader keeps its
+    place and the caller can reject the row it lands in."""
     line_no = 0
     for chunk in lines:
-        if isinstance(chunk, str):
-            line_no += 1
-            yield chunk
-            continue
         try:
             text = chunk.decode("utf-8")
         except UnicodeDecodeError:
@@ -251,12 +245,6 @@ def _csv_lines(
                 bad.append(exc)
                 text = piece.decode("utf-8", "replace")
             yield text
-
-
-def _located(message: str, line: int, source: str | None) -> str:
-    """``message`` behind its place, ``[source, ]line N: ``, written the way
-    CorpusParseError writes its own."""
-    return str(CorpusParseError(message, line=line, source=source))
 
 
 def _string_list(value: object, what: str, line: int, source: str | None) -> list[str]:
@@ -317,7 +305,7 @@ def _paper_from_record(record: object, line: int, source: str | None) -> tuple[P
 
 
 def _corpus_records(
-    lines: Iterable[str | bytes], source: str | None
+    lines: Iterable[bytes], source: str | None
 ) -> Iterator[tuple[int, Paper | None, int, VindexError | None]]:
     """The one pass over JSONL lines, shared by ``ingest_corpus`` and
     ``audit_corpus``. For each non-blank line: its number, its paper, the
@@ -351,7 +339,7 @@ def _corpus_records(
             error = None
             if paper.id in seen:
                 error = CorpusIntegrityError(
-                    _located(f"duplicate paper id {paper.id!r}", line_no, source)
+                    f"duplicate paper id {paper.id!r}", line=line_no, source=source
                 )
             seen.add(paper.id)
             yield line_no, paper, loops, error
@@ -366,16 +354,17 @@ def ingest_corpus(source: str | Path | IO | bytes | Iterable[str]) -> Corpus:
     over the JSONL pass, raising its first error.
 
     Accepts a path, an open text or binary file, raw bytes, or an iterable
-    of lines. Lines end only at a line feed. Blank lines are skipped. A
-    malformed line, or a string holding a lone surrogate, aborts with
-    CorpusParseError carrying its line number; a duplicate id aborts with
-    CorpusIntegrityError. Self-references in ``refs`` are stripped and
+    of lines; text is encoded to UTF-8 first. Lines end only at a line feed.
+    Blank lines are skipped. A malformed line, invalid UTF-8 (a raw lone
+    surrogate in a ``str`` included) or an escaped lone surrogate aborts
+    with CorpusParseError carrying its line number; a duplicate id aborts
+    with CorpusIntegrityError. Self-references in ``refs`` are stripped and
     counted as ``self_loops``, duplicate refs are collapsed, and refs
     pointing outside the corpus are counted as dangling.
     """
     papers: dict[str, Paper] = {}
     self_loops = 0
-    with _open_lines(source, "\n") as (lines, name):
+    with _open_lines(source) as (lines, name):
         for _, paper, loops, error in _corpus_records(lines, name):
             if error is not None:
                 raise error
@@ -411,8 +400,9 @@ def _check_mode(mode: str) -> None:
         raise DomainError(f"unknown entity mode {mode!r}; expected 'author' or 'journal'")
 
 
-def _received_counts(corpus: Corpus, mode: Mode) -> dict[str, tuple[int, int]]:
-    """Per paper id: (citations received, the subset classified self).
+def _received_counts(corpus: Corpus, mode: Mode) -> dict[str, PaperCitations]:
+    """Per paper id: the citations it received, and the subset classified
+    self, as the one record every owner of the paper shares.
 
     One pass over every in-corpus edge; dangling refs are skipped here.
     The citing paper's author set and venue are read once for all its refs.
@@ -436,69 +426,52 @@ def _received_counts(corpus: Corpus, mode: Mode) -> dict[str, tuple[int, int]]:
                     entry[1] += 1
             elif not mine.isdisjoint(cited.authors):
                 entry[1] += 1
-    return {pid: (tallies[0], tallies[1]) for pid, tallies in received.items()}
+    return {pid: PaperCitations(pid, gross, own) for pid, (gross, own) in received.items()}
 
 
-def _entity_papers(corpus: Corpus, mode: Mode) -> dict[str, list[Paper]]:
-    """Map each entity id to its papers, in corpus order."""
-    owners: dict[str, list[Paper]] = {}
+def aggregate_all(corpus: Corpus, mode: Mode) -> list[EntityAggregate]:
+    """One aggregate per distinct entity, in lexicographic entity order.
+    An entity's papers keep corpus order in ``per_paper``."""
+    _check_mode(mode)
+    received = _received_counts(corpus, mode)
+    owned: dict[str, list[PaperCitations]] = {}
     for paper in corpus:
         if mode == "author":
             keys: Iterable[str] = dict.fromkeys(paper.authors)
         else:
             keys = (paper.venue,) if paper.venue is not None else ()
+        record = received[paper.id]
         for key in keys:
-            owners.setdefault(key, []).append(paper)
-    return owners
-
-
-def _build_aggregate(
-    entity_id: str,
-    mode: Mode,
-    papers: list[Paper],
-    stats: dict[str, tuple[int, int]],
-) -> EntityAggregate:
-    per_paper = tuple(
-        PaperCitations(paper.id, stats[paper.id][0], stats[paper.id][1])
-        for paper in papers
-    )
-    c = sum(item.citations_received for item in per_paper)
-    sc = sum(item.self_citations_received for item in per_paper)
-    h = h_index(item.citations_received for item in per_paper)
-    h_star = h_index(
-        item.citations_received - item.self_citations_received for item in per_paper
-    )
-    return EntityAggregate(
-        entity_id=entity_id,
-        mode=mode,
-        cd=len(per_paper),
-        c=c,
-        sc=sc,
-        h=h,
-        h_star=h_star,
-        per_paper=per_paper,
-    )
-
-
-def aggregate_all(corpus: Corpus, mode: Mode) -> list[EntityAggregate]:
-    """One aggregate per distinct entity, in lexicographic entity order."""
-    _check_mode(mode)
-    owners = _entity_papers(corpus, mode)
-    stats = _received_counts(corpus, mode)
-    return [
-        _build_aggregate(entity_id, mode, owners[entity_id], stats)
-        for entity_id in sorted(owners)
-    ]
+            owned.setdefault(key, []).append(record)
+    aggregates = []
+    for entity_id in sorted(owned):
+        per_paper = tuple(owned[entity_id])
+        gross = [record.citations_received for record in per_paper]
+        net = [record.citations_received - record.self_citations_received for record in per_paper]
+        c = sum(gross)
+        aggregates.append(
+            EntityAggregate(
+                entity_id=entity_id,
+                mode=mode,
+                cd=len(per_paper),
+                c=c,
+                sc=c - sum(net),
+                h=h_index(gross),
+                h_star=h_index(net),
+                per_paper=per_paper,
+            )
+        )
+    return aggregates
 
 
 def self_citation_fraction(corpus: Corpus, mode: Mode = "author") -> float:
     """Share of in-corpus citation edges classified self; 0.0 for no edges."""
     _check_mode(mode)
-    stats = _received_counts(corpus, mode)
-    total = sum(received for received, _ in stats.values())
+    records = _received_counts(corpus, mode).values()
+    total = sum(record.citations_received for record in records)
     if total == 0:
         return 0.0
-    return sum(self_received for _, self_received in stats.values()) / total
+    return sum(record.self_citations_received for record in records) / total
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +596,7 @@ def _row_from_fields(
     if max(map(abs, counts)) > _MAX_COUNT:
         raise CorpusParseError(f"entity {entity_id!r}: count too large", line=line, source=source)
     if entity_id in seen:
-        raise CorpusIntegrityError(_located(f"duplicate entity {entity_id!r}", line, source))
+        raise CorpusIntegrityError(f"duplicate entity {entity_id!r}", line=line, source=source)
     seen.add(entity_id)
     cd_count, c_count, sc_count, h_count = counts
     try:
@@ -634,7 +607,7 @@ def _row_from_fields(
             h_index=h_count,
         )
     except DomainError as exc:
-        raise DomainError(_located(f"entity {entity_id!r}: {exc}", line, source)) from None
+        raise DomainError(f"entity {entity_id!r}: {exc}", line=line, source=source) from None
 
 
 def _csv_rows(reader, source: str | None) -> Iterator[list[str] | CorpusParseError]:
@@ -649,7 +622,7 @@ def _csv_rows(reader, source: str | None) -> Iterator[list[str] | CorpusParseErr
 
 
 def _aggregate_rows(
-    lines: Iterable[str | bytes], source: str | None
+    lines: Iterable[bytes], source: str | None
 ) -> Iterator[tuple[tuple[str, CitationCounts] | None, VindexError | None]]:
     """The one pass over aggregate CSV lines, shared by
     ``read_aggregate_csv`` and ``audit_aggregate``: each data row as its
@@ -706,7 +679,7 @@ def read_aggregate_csv(
     Line numbers name the line on which a row ends.
     """
     rows: list[tuple[str, CitationCounts]] = []
-    with _open_lines(source, "") as (lines, name):
+    with _open_lines(source) as (lines, name):
         for row, error in _aggregate_rows(lines, name):
             if error is not None:
                 raise error
@@ -753,11 +726,11 @@ def audit_corpus(
     _check_mode(mode)
     report = AuditReport()
     papers: dict[str, Paper] = {}
-    with _open_lines(source, "\n") as (lines, _):
+    with _open_lines(source) as (lines, _):
         for line_no, paper, loops, error in _corpus_records(lines, None):
             if loops:
                 stripped = f"paper {paper.id!r} cites itself ({loops} entry(ies) stripped)"
-                report.warnings.append(_located(stripped, line_no, None))
+                report.warnings.append(f"line {line_no}: {stripped}")
             if error is not None:
                 report.errors.append(str(error))
             else:
@@ -779,7 +752,7 @@ def audit_aggregate(source: str | Path | IO | bytes | Iterable[str]) -> AuditRep
     """Check an aggregate CSV: header, field types, and count invariants.
     The audit policy over the CSV pass that ``read_aggregate_csv`` reads:
     it collects every error instead of raising the first."""
-    with _open_lines(source, "") as (lines, _):
+    with _open_lines(source) as (lines, _):
         return AuditReport(
             errors=[str(error) for _, error in _aggregate_rows(lines, None) if error is not None]
         )

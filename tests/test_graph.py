@@ -15,10 +15,12 @@ from vindex.errors import (
     CorpusParseError,
     DomainError,
     UnknownEntityError,
+    VindexError,
 )
 from vindex.graph import (
     AGGREGATE_CSV_COLUMNS,
     MODES,
+    AuditReport,
     Corpus,
     Paper,
     aggregate_all,
@@ -72,6 +74,24 @@ def entities(corpus: Corpus, mode: str) -> dict:
     return {agg.entity_id: agg for agg in aggregate_all(corpus, mode)}
 
 
+def read_every_source_kind(read, path, lines) -> list:
+    """``read`` applied to the input in ``path`` given as each kind of source
+    the readers take: a path, bytes, a binary handle, a UTF-8 text handle,
+    an ``io.StringIO``, and ``lines``, the same text as a list of strings.
+    A refused input gives its error's type, line and message in place of a
+    result, with the name that only paths and handles put before the
+    message dropped."""
+    text = path.read_bytes().decode("utf-8")
+    results = []
+    with open(path, "rb") as binary, open(path, encoding="utf-8") as utf8:
+        for source in (path, text.encode("utf-8"), binary, utf8, io.StringIO(text), lines):
+            try:
+                results.append(read(source))
+            except VindexError as exc:
+                results.append((type(exc), exc.line, str(exc).removeprefix(f"{path.name}, ")))
+    return results
+
+
 # ---------------------------------------------------------------------------
 # ingestion and serialization
 # ---------------------------------------------------------------------------
@@ -105,11 +125,12 @@ def test_ingest_keeps_a_raw_u2028_inside_a_string(tmp_path):
     text = "".join(json.dumps(record, ensure_ascii=False) + "\n" for record in records)
     path = tmp_path / "corpus.jsonl"
     path.write_text(text, encoding="utf-8")
-    for source in (path, text.encode("utf-8"), io.StringIO(text)):
-        corpus = ingest_corpus(source)
-        assert corpus.paper("q1").authors == ("Line\u2028Separator",)
-        assert corpus.paper("q2").authors == ("Next\u0085Line",)
+    corpora = read_every_source_kind(ingest_corpus, path, text.split("\n"))
+    assert corpora == [corpora[0]] * 6
+    assert corpora[0].paper("q1").authors == ("Line\u2028Separator",)
+    assert corpora[0].paper("q2").authors == ("Next\u0085Line",)
     assert audit_corpus(path).errors == []
+    assert read_every_source_kind(audit_corpus, path, text.split("\n")) == [AuditReport()] * 6
 
 
 def test_ingest_accepts_crlf_line_endings(tmp_path):
@@ -306,11 +327,49 @@ def test_ingest_keeps_escaped_pairs_and_other_escapes():
     assert audit_corpus([line]).ok
 
 
+@pytest.mark.parametrize(
+    "as_source",
+    [
+        pytest.param(list, id="lines"),
+        pytest.param(lambda lines: io.StringIO("".join(lines)), id="stringio"),
+    ],
+)
+def test_readers_refuse_a_raw_lone_surrogate_in_text(as_source):
+    # a real U+D800 in the string, not a JSON escape of one
+    corpus = [
+        '{"id": "p1", "authors": ["a"]}\n',
+        '{"id": "p2", "authors": ["b\ud800"]}\n',
+        '{"id": "p3", "authors": ["c"], "refs": ["p3", "p1"]}\n',
+    ]
+    with pytest.raises(CorpusParseError) as excinfo:
+        ingest_corpus(as_source(corpus))
+    assert excinfo.value.line == 2
+    assert str(excinfo.value) == "line 2: invalid UTF-8 at byte 28 (invalid continuation byte)"
+    # the audit reports the same string and still reads line 3
+    assert audit_corpus(as_source(corpus)) == AuditReport(
+        errors=[str(excinfo.value)],
+        warnings=["line 3: paper 'p3' cites itself (1 entry(ies) stripped)"],
+    )
+    table = [f"{CSV_HEADER}\n", "x\udc80,1,1,0,1\n", "ok,1,1,0,1\n", "sc,5,10,20,3\n"]
+    with pytest.raises(CorpusParseError) as excinfo:
+        read_aggregate_csv(as_source(table))
+    assert excinfo.value.line == 2
+    assert str(excinfo.value) == "line 2: invalid UTF-8 at byte 2 (invalid continuation byte)"
+    assert audit_aggregate(as_source(table)).errors == [
+        str(excinfo.value),
+        "line 4: entity 'sc': self_citations (20) exceed citations_total (10)",
+    ]
+    assert read_aggregate_csv(as_source([table[0], table[2]])) == [
+        ("ok", CitationCounts(1, 0, 1, 1))
+    ]
+
+
 def test_ingest_rejects_duplicate_ids():
     with pytest.raises(CorpusIntegrityError) as excinfo:
         ingest_corpus(['{"id": "p1", "authors": ["a"]}', '{"id": "p1", "authors": ["b"]}'])
     assert "p1" in str(excinfo.value)
     assert "line 2" in str(excinfo.value)
+    assert excinfo.value.line == 2
 
 
 def test_parse_error_names_the_file(tmp_path):
@@ -730,6 +789,7 @@ def test_aggregate_csv_rejects_invariant_violations():
         read_aggregate_csv(["entity_id,cd,c,sc,h", "offender,5,10,20,3"])
     message = str(excinfo.value)
     assert "offender" in message and "line 2" in message
+    assert excinfo.value.line == 2
 
 
 def test_aggregate_csv_rejects_h_above_cd():
@@ -742,6 +802,8 @@ def test_aggregate_csv_rejects_duplicates():
     with pytest.raises(CorpusIntegrityError) as excinfo:
         read_aggregate_csv(["entity_id,cd,c,sc,h", "x,1,1,0,1", "x,2,2,0,1"])
     assert "x" in str(excinfo.value)
+    assert str(excinfo.value) == "line 3: duplicate entity 'x'"
+    assert excinfo.value.line == 3
 
 
 def test_aggregate_csv_rejects_short_rows():
@@ -774,6 +836,11 @@ def test_aggregate_csv_keeps_a_quoted_newline(tmp_path):
         rows = read_aggregate_csv(source)
         assert [entity for entity, _ in rows] == ["Multi\nLine", "Single"]
     assert audit_aggregate(path).ok
+    lines = text.splitlines(keepends=True)
+    every = read_every_source_kind(read_aggregate_csv, path, lines)
+    assert every == [every[0]] * 6
+    assert [entity for entity, _ in every[0]] == ["Multi\nLine", "Single"]
+    assert read_every_source_kind(audit_aggregate, path, lines) == [AuditReport()] * 6
 
 
 def test_aggregate_csv_reads_bare_carriage_returns(tmp_path):
@@ -787,6 +854,14 @@ def test_aggregate_csv_reads_bare_carriage_returns(tmp_path):
         read_aggregate_csv(path)
     assert excinfo.value.line == 4
     assert audit_aggregate(path).errors == ["line 4: entity 'bad': counts must be integers"]
+    # a str line is split at a bare carriage return as the same bytes are
+    line = "entity_id,cd,c,sc,h\rx,1,1,0,1\r\ny,1,1,0,1\nbad,1,x,0,1\r"
+    with pytest.raises(CorpusParseError) as excinfo:
+        read_aggregate_csv([line])
+    assert excinfo.value.line == 4
+    assert audit_aggregate([line]).errors == audit_aggregate(path).errors
+    text = 'entity_id,cd,c,sc,h\r"Multi\rLine",3,10,2,2\rSingle,4,20,5,3\r'
+    assert read_aggregate_csv([text]) == read_aggregate_csv(text.encode("utf-8"))
 
 
 def test_aggregate_csv_rejects_invalid_utf8_with_its_line(tmp_path):
@@ -894,6 +969,49 @@ def test_readers_keep_the_encoding_of_a_text_stream(tmp_path):
     path.write_bytes(b'{"id": "p1", "authors": ["Jos\xe9"]}\n')
     with open(path, encoding="latin-1") as handle:
         assert ingest_corpus(handle).paper("p1").authors == ("José",)
+
+
+def test_every_source_kind_reads_and_audits_alike(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        jsonl(
+            {"id": "p1", "authors": ["a"], "refs": ["p1", "ghost"]},
+            {"id": "p2", "authors": ["b"], "venue": "J", "refs": ["p1"]},
+            {"id": "p2", "authors": ["c"]},
+        )
+        + "{oops\n",
+        encoding="utf-8",
+    )
+    lines = corpus.read_text(encoding="utf-8").split("\n")
+    duplicate = "line 3: duplicate paper id 'p2'"
+    assert read_every_source_kind(ingest_corpus, corpus, lines) == [
+        (CorpusIntegrityError, 3, duplicate)
+    ] * 6
+    audit = AuditReport(
+        errors=[duplicate, "line 4: invalid JSON (Expecting property name enclosed in double quotes)"],
+        warnings=[
+            "line 1: paper 'p1' cites itself (1 entry(ies) stripped)",
+            "1 reference(s) point outside the corpus and will be ignored",
+            "1 paper(s) have no venue; their citations count as genuine",
+        ],
+    )
+    journal_audit = lambda source: audit_corpus(source, "journal")  # noqa: E731
+    assert read_every_source_kind(journal_audit, corpus, lines) == [audit] * 6
+
+    table = tmp_path / "agg.csv"
+    table.write_bytes(
+        b'entity_id,cd,c,sc,h\r\n"Multi\r\nLine",3,10,2,2\r\nx,1,1,0,1\r\n'
+        b"x,2,2,0,1\ry,1,2,3,1\r\n"
+    )
+    lines = table.read_bytes().decode("utf-8").splitlines(keepends=True)
+    duplicate = "line 5: duplicate entity 'x'"
+    assert read_every_source_kind(read_aggregate_csv, table, lines) == [
+        (CorpusIntegrityError, 5, duplicate)
+    ] * 6
+    audit = AuditReport(
+        errors=[duplicate, "line 6: entity 'y': self_citations (3) exceed citations_total (2)"]
+    )
+    assert read_every_source_kind(audit_aggregate, table, lines) == [audit] * 6
 
 
 def test_aggregate_csv_reports_physical_line_numbers(tmp_path):
