@@ -12,9 +12,8 @@ import csv
 import io
 import math
 import statistics
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Callable, Iterable, Literal, Sequence
+from typing import Iterable, Literal, NamedTuple, Sequence
 
 from .errors import DomainError
 from .graph import EntityAggregate
@@ -74,7 +73,22 @@ def round3(value: float) -> float:
 
 
 def fmt3(value: float) -> str:
-    """Format a real with exactly three decimals, ties away from zero."""
+    """Format a real with exactly three decimals, ties away from zero.
+
+    The decimals are those of the value's shortest repr, rounded half up.
+    A float strictly between -1e9 and 1e9 that is not near a tie takes
+    printf instead, which rounds the binary value itself, and gets the same
+    string. Below 1e9, half an ulp is under 6e-8, so in units of 0.001 the
+    binary value and its repr differ by at most 6e-5, and the rounded
+    product ``value * 1000.0`` is within 6.1e-5 of the exact one. So when
+    that product's fractional part is more than 1e-3 from one half, no
+    rounding boundary lies between the binary value and its repr, and both
+    round to the same three decimals. Everything else (near-ties, larger
+    magnitudes, nan and inf, ints, bools, Decimals) is rounded through
+    ``Decimal``.
+    """
+    if type(value) is float and -1e9 < value < 1e9 and abs((value * 1000.0) % 1.0 - 0.5) > 1e-3:
+        return f"{value:.3f}"
     return str(_quant3(value))
 
 
@@ -82,8 +96,7 @@ def fmt3(value: float) -> str:
 # ranking
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RankedRow:
+class RankedRow(NamedTuple):
     """A metrics row with its 1-based position under each ranking criterion."""
 
     row: MetricsRow
@@ -92,34 +105,22 @@ class RankedRow:
     rank_by_v: int
 
 
-@dataclass(frozen=True)
-class RankedTable:
+class RankedTable(NamedTuple):
     """Rows ordered by one criterion, carrying positions under all three."""
 
     rows: tuple[RankedRow, ...]
     sort_key: SortKey
 
 
-_SORT_ACCESSORS: dict[str, Callable[[MetricsRow], float]] = {
-    "v_index": lambda row: row.v_index,
-    "h_index": lambda row: row.counts.h_index,
-    "cd": lambda row: row.counts.citable_documents,
-}
+_SORT_KEYS = ("v_index", "h_index", "cd")
 
 
-def _order(rows: Sequence[MetricsRow], key: SortKey) -> list[int]:
-    """Indices into ``rows``, descending by the criterion; ties break on h,
-    then CD, then entity id, and equal rows keep their input order."""
-    value = _SORT_ACCESSORS[key]
-    return sorted(
-        range(len(rows)),
-        key=lambda index: (
-            -value(rows[index]),
-            -rows[index].counts.h_index,
-            -rows[index].counts.citable_documents,
-            rows[index].entity_id,
-        ),
-    )
+def _positions(order: list[int]) -> list[int]:
+    """The 1-based position of each index in ``order``."""
+    slots = [0] * len(order)
+    for pos, index in enumerate(order, start=1):
+        slots[index] = pos
+    return slots
 
 
 def rank(rows: Sequence[MetricsRow], key: SortKey = "v_index") -> RankedTable:
@@ -130,37 +131,32 @@ def rank(rows: Sequence[MetricsRow], key: SortKey = "v_index") -> RankedTable:
     lexicographically smaller entity id, so equal inputs always produce
     identical tables.
     """
-    if key not in _SORT_ACCESSORS:
+    if key not in _SORT_KEYS:
         raise DomainError(f"unknown sort key {key!r}")
     if not rows:
         raise DomainError("cannot rank an empty batch")
     # Positions are keyed by index in ``rows``, so a row object passed twice
-    # still gets two distinct positions.
-    orders = {criterion: _order(rows, criterion) for criterion in _SORT_ACCESSORS}
-    positions: dict[str, list[int]] = {}
-    for criterion, order in orders.items():
-        slots = [0] * len(rows)
-        for pos, index in enumerate(order, start=1):
-            slots[index] = pos
-        positions[criterion] = slots
+    # still gets two distinct positions. The tie-break order is itself the h
+    # order; a stable sort of it on CD alone or on v alone gives the others,
+    # with equal rows keeping their input order throughout.
+    neg_cd = [-row.counts.citable_documents for row in rows]
+    tie_break = [(-row.counts.h_index, cd, row.entity_id) for row, cd in zip(rows, neg_cd)]
+    by_h = sorted(range(len(rows)), key=tie_break.__getitem__)
+    by_cd = sorted(by_h, key=neg_cd.__getitem__)
+    by_v = sorted(by_h, key=[-row.v_index for row in rows].__getitem__)
+    pos_cd, pos_h, pos_v = _positions(by_cd), _positions(by_h), _positions(by_v)
+    order = {"v_index": by_v, "h_index": by_h, "cd": by_cd}[key]
     ranked = tuple(
-        RankedRow(
-            row=rows[index],
-            rank_by_cd=positions["cd"][index],
-            rank_by_h=positions["h_index"][index],
-            rank_by_v=positions["v_index"][index],
-        )
-        for index in orders[key]
+        [RankedRow(rows[index], pos_cd[index], pos_h[index], pos_v[index]) for index in order]
     )
-    return RankedTable(rows=ranked, sort_key=key)
+    return RankedTable(ranked, key)
 
 
 # ---------------------------------------------------------------------------
 # correlation and batch statistics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CorrelationResult:
+class CorrelationResult(NamedTuple):
     rho: float
     n: int
     p_value: float
@@ -274,8 +270,7 @@ def _betainc(a: float, b: float, x: float) -> float:
     return math.exp(log_front) * fraction / a
 
 
-@dataclass(frozen=True)
-class BatchStats:
+class BatchStats(NamedTuple):
     mean: float
     median: float
     std_dev: float
@@ -308,8 +303,7 @@ def batch_stats(values: Sequence[float]) -> BatchStats:
 # citation curves
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CitationCurves:
+class CitationCurves(NamedTuple):
     """Plot-ready rank-frequency curves for one entity.
 
     ``g`` holds per-paper citation counts sorted descending; ``f`` holds the

@@ -176,9 +176,10 @@ def _open_lines(
     Paths are streamed. Paths, bytes, binary files and UTF-8 text files
     (read through their binary buffer) give their bytes split only at line
     feeds. Other text, such as an ``io.StringIO``, is encoded to UTF-8 and
-    split the same way, and an iterable of strings is taken as lines already
-    split, each encoded. Text is encoded with ``surrogatepass``, so a raw
-    lone surrogate becomes a byte sequence that ``_decode`` refuses with its
+    split the same way. Each item of an iterable is encoded and split at its
+    own line feeds, as the same bytes in a file would be, and its end also
+    ends a line. Text is encoded with ``surrogatepass``, so a raw lone
+    surrogate becomes a byte sequence that ``_decode`` refuses with its
     line. Unicode line breaks such as U+2028 never split a line.
     """
     if isinstance(source, (str, Path)):
@@ -201,11 +202,22 @@ def _open_lines(
             name = None
         yield io.BytesIO(_utf8(data)), name
         return
-    yield map(_utf8, source), None
+    yield _item_lines(source), None
 
 
 def _utf8(data: str | bytes) -> bytes:
     return data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
+
+
+def _item_lines(items: Iterable[str | bytes]) -> Iterator[bytes]:
+    """Each item as UTF-8 lines, split after each line feed it holds, as a
+    file is; the end of an item also ends a line."""
+    for item in items:
+        data = _utf8(item)
+        if 0 <= data.find(b"\n") < len(data) - 1:
+            yield from io.BytesIO(data)
+        else:
+            yield data
 
 
 def _decode(raw: bytes, line: int, source: str | None) -> str:
@@ -354,7 +366,8 @@ def ingest_corpus(source: str | Path | IO | bytes | Iterable[str]) -> Corpus:
     over the JSONL pass, raising its first error.
 
     Accepts a path, an open text or binary file, raw bytes, or an iterable
-    of lines; text is encoded to UTF-8 first. Lines end only at a line feed.
+    of lines; text is encoded to UTF-8 first. Lines end only at a line feed,
+    and an item of an iterable holding one is split there, as a file is.
     Blank lines are skipped. A malformed line, invalid UTF-8 (a raw lone
     surrogate in a ``str`` included) or an escaped lone surrogate aborts
     with CorpusParseError carrying its line number; a duplicate id aborts

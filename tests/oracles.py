@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import random
+from decimal import ROUND_HALF_UP, Decimal
 
 
 def brute_h(counts) -> int:
@@ -167,3 +168,47 @@ def synthetic_corpus_jsonl(seed: int, n_papers: int, n_authors: int, self_cite_b
         for name in authors:
             by_author[name].append(index)
     return "".join(lines)
+
+
+def fmt3_reference(value) -> str:
+    """Three decimals, ties away from zero, by rounding the value's shortest
+    repr as a ``Decimal``; raises what ``Decimal`` raises."""
+    return str(Decimal(str(value)).quantize(Decimal("0.001"), rounding=ROUND_HALF_UP))
+
+
+def rank_reference(rows, key: str) -> list[tuple]:
+    """``(row, position by CD, by h, by v)`` for each row, in table order.
+
+    Each criterion gets its own full sort: descending by its value, then
+    by h, then by CD, then ascending entity id, with equal rows in input
+    order. Positions are 1-based and keyed by index, so a repeated row
+    object gets one per occurrence.
+    """
+    values = {
+        "v_index": lambda row: row.v_index,
+        "h_index": lambda row: row.counts.h_index,
+        "cd": lambda row: row.counts.citable_documents,
+    }
+
+    def order(criterion):
+        value = values[criterion]
+        return sorted(
+            range(len(rows)),
+            key=lambda i: (
+                -value(rows[i]),
+                -rows[i].counts.h_index,
+                -rows[i].counts.citable_documents,
+                rows[i].entity_id,
+            ),
+        )
+
+    positions = {}
+    for criterion in values:
+        slots = [0] * len(rows)
+        for position, index in enumerate(order(criterion), start=1):
+            slots[index] = position
+        positions[criterion] = slots
+    return [
+        (rows[i], positions["cd"][i], positions["h_index"][i], positions["v_index"][i])
+        for i in order(key)
+    ]

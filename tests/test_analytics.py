@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 import random
 import statistics
+import struct
+from decimal import Decimal
 
 import pytest
 import scipy.special
@@ -24,7 +26,8 @@ from vindex.analytics import (
 )
 from vindex.errors import DomainError
 from vindex.graph import aggregate_all, generate_synthetic_corpus, ingest_corpus
-from vindex.metrics import CitationCounts, metrics_row
+from vindex.metrics import CitationCounts, WeightFunction, metrics_row
+from oracles import fmt3_reference, rank_reference
 
 
 def make_row(entity_id, cd, c, sc, h, h_star=None):
@@ -69,9 +72,91 @@ def test_round3_matches_fmt3():
         assert round3(value) == float(fmt3(value))
 
 
+def _outcome(function, value):
+    try:
+        return function(value)
+    except Exception as exc:  # the reference's own error is part of its answer
+        return type(exc)
+
+
+def _fmt3_probes() -> list:
+    rng = random.Random(4151)
+    values: list = []
+    for k in range(-30_000, 30_001):
+        values.append(k / 1000 + 0.0005)  # ties in the repr, off by an ulp in binary
+        values.append(k / 2000)  # odd k: repr ties; odd multiples of 125: exact binary ties
+    for _ in range(20_000):
+        values.append(rng.uniform(-1000.0, 1000.0))
+        values.append(rng.choice((-1, 1)) * 10 ** rng.uniform(-12, 12))
+        # repr ties a few ulps off, at every magnitude up to 1e14: above
+        # about 1e10, printf and the repr round some of these apart
+        tie = rng.choice((-1, 1)) * (rng.randrange(10 ** rng.randint(3, 17)) / 1000 + 0.0005)
+        for _ in range(rng.randint(0, 8)):
+            tie = math.nextafter(tie, rng.choice((math.inf, -math.inf)))
+        values.append(tie)
+        h = rng.randint(0, 200)
+        c = rng.randint(1, 10_000)
+        values.append(h * math.sqrt(rng.randint(0, c) / c))
+    for _ in range(5_000):
+        values.append(struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0])
+    for edge in (1e9, -1e9, 1e9 - 0.0005, -(1e9 - 0.0005), 999_999_999.9995, 1e8 + 0.0005):
+        value = edge
+        for _ in range(300):
+            value = math.nextafter(value, math.inf)
+            values.append(value)
+        value = edge
+        for _ in range(300):
+            value = math.nextafter(value, -math.inf)
+            values.append(value)
+        values.append(edge)
+    values += [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, -1e-310]
+    values += [math.nan, -math.nan, math.inf, -math.inf, 1e30, -1e30, 1.7976931348623157e308]
+    values += [0, 1, -7, 16, 10**12, 2**53, True, False]
+    values += [Decimal("2.6745"), Decimal("-0.0005"), Decimal("1e-7"), Decimal("NaN")]
+    return values
+
+
+def test_fmt3_matches_the_decimal_reference():
+    values = _fmt3_probes()
+    assert len(values) > 200_000
+    mismatches = [
+        value for value in values if _outcome(fmt3, value) != _outcome(fmt3_reference, value)
+    ]
+    assert mismatches == []
+
+
 # ---------------------------------------------------------------------------
 # ranking
 # ---------------------------------------------------------------------------
+
+def test_rank_matches_the_reference_on_heavy_ties():
+    rng = random.Random(5309)
+    weights = (WeightFunction.sqrt(), WeightFunction.unity(), WeightFunction.linear())
+    for _ in range(300):
+        weight = rng.choice(weights)
+        rows = []
+        for _ in range(rng.randint(1, 40)):
+            if rows and rng.random() < 0.15:
+                rows.append(rng.choice(rows))  # the same row object again
+                continue
+            cd = rng.randint(1, 4)
+            h = rng.randint(0, min(cd, 3))
+            c = rng.randint(h * h, h * h + 3)
+            sc = rng.choice((0, 0, c, rng.randint(0, c)))
+            counts = CitationCounts(
+                citations_total=c, self_citations=sc, citable_documents=cd, h_index=h
+            )
+            rows.append(metrics_row(rng.choice("abcde"), counts, weight))
+        for key in ("v_index", "h_index", "cd"):
+            table = rank(rows, key)
+            assert table.sort_key == key
+            got = [
+                (id(item.row), item.rank_by_cd, item.rank_by_h, item.rank_by_v)
+                for item in table.rows
+            ]
+            want = [(id(row), *positions) for row, *positions in rank_reference(rows, key)]
+            assert got == want
+
 
 def test_rank_orders_by_v_index():
     rows = [

@@ -364,6 +364,48 @@ def test_readers_refuse_a_raw_lone_surrogate_in_text(as_source):
     ]
 
 
+def test_a_str_item_is_split_at_its_inner_line_feeds_as_a_file_is():
+    item = '{"id": "p1",\n "authors": ["a"]}'
+    for source in ([item], item.encode("utf-8")):
+        with pytest.raises(CorpusParseError) as excinfo:
+            ingest_corpus(source)
+        assert excinfo.value.line == 1
+        assert str(excinfo.value) == (
+            "line 1: invalid JSON (Expecting property name enclosed in double quotes)"
+        )
+        assert audit_corpus(source).errors == [
+            str(excinfo.value),
+            "line 2: invalid JSON (Extra data)",
+        ]
+    # a valid item holding two records reads as two lines
+    both = '{"id": "p1", "authors": ["a"]}\n{"id": "p2", "authors": ["b"], "refs": ["p1"]}\n'
+    assert ingest_corpus([both]) == ingest_corpus(both.encode("utf-8"))
+    with pytest.raises(CorpusIntegrityError) as excinfo:
+        ingest_corpus(['{"id": "p0", "authors": ["z"]}', both + both])
+    assert excinfo.value.line == 4
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n"])
+def test_a_csv_str_item_is_split_at_its_inner_line_feeds_as_a_file_is(ending):
+    text = f"{CSV_HEADER}\nx,1\n,1,0,1{ending}"
+    expected = ["line 2: expected 5 fields, got 2", "line 3: expected 5 fields, got 4"]
+    for source in ([f"{CSV_HEADER}\n", f"x,1\n,1,0,1{ending}"], text.encode("utf-8")):
+        with pytest.raises(CorpusParseError) as excinfo:
+            read_aggregate_csv(source)
+        assert excinfo.value.line == 2
+        assert str(excinfo.value) == expected[0]
+        assert audit_aggregate(source).errors == expected
+    # a quoted field still spans the split, and the line after it counts on
+    table = [f'{CSV_HEADER}\n"Multi\nLine",3,10,2,2\nx,1,1,0,1\n', "x,2,2,0,1\n"]
+    with pytest.raises(CorpusIntegrityError) as excinfo:
+        read_aggregate_csv(table)
+    assert excinfo.value.line == 5
+    assert read_aggregate_csv(table[:1]) == [
+        ("Multi\nLine", CitationCounts(10, 2, 3, 2)),
+        ("x", CitationCounts(1, 0, 1, 1)),
+    ]
+
+
 def test_ingest_rejects_duplicate_ids():
     with pytest.raises(CorpusIntegrityError) as excinfo:
         ingest_corpus(['{"id": "p1", "authors": ["a"]}', '{"id": "p1", "authors": ["b"]}'])

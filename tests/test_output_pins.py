@@ -1,0 +1,122 @@
+"""Byte pins on the rendered tables.
+
+Each case runs ``cli.main`` in-process and compares the sha256 of its
+stdout with a digest recorded before the ranking and rendering fast paths
+went in, so any change to a cell, a position or a tie-break shows here.
+"""
+
+from __future__ import annotations
+
+import csv
+import hashlib
+import io
+import random
+
+import pytest
+
+from conftest import DATA_DIR
+from vindex.cli import EXIT_OK, main
+
+WIDE_ROWS = 5000
+
+
+def _wide_csv(seed: int, n_rows: int) -> str:
+    """An aggregate CSV whose h and CD orderings tie often, with a tenth of
+    the entities free of self-citations and some ids that need quoting."""
+    rng = random.Random(seed)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["entity_id", "cd", "c", "sc", "h"])
+    rows = []
+    for index in range(n_rows):
+        if index % 11 == 0:
+            entity = f'Lab "{index}", Dept {index % 97}'
+        elif index % 13 == 0:
+            entity = f"Équipe {index:05d}"
+        else:
+            entity = f"Entity {index:05d}"
+        cd = rng.randint(1, 400)
+        h = rng.randint(0, min(cd, 60))
+        c = h * h + rng.randint(0, 5000)
+        sc = 0 if rng.random() < 0.1 else int(c * rng.random() ** 3)
+        rows.append((entity, cd, c, sc, h))
+    rng.shuffle(rows)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def _reduced(name: str) -> str:
+    with open(DATA_DIR / name, newline="", encoding="utf-8") as handle:
+        records = list(csv.DictReader(handle))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["entity_id", "cd", "c", "sc", "h"])
+    writer.writerows([r["entity_id"], r["cd"], r["c"], r["sc"], r["h"]] for r in records)
+    return out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    work = tmp_path_factory.mktemp("pins")
+    paths = {"wide": work / "wide.csv"}
+    paths["wide"].write_text(_wide_csv(9, WIDE_ROWS), encoding="utf-8")
+    for table in ("authors", "journals", "countries"):
+        paths[table] = work / f"{table}.csv"
+        paths[table].write_text(_reduced(f"{table}_top25.csv"), encoding="utf-8")
+    return paths
+
+
+WIDE_PINS = {
+    ("metrics", "csv", "v"):
+        "216a2c0e10340bdaaa9f5caeb3499aee0adb466c01db712ebaed9ce773e1069f",
+    ("metrics", "csv", "h"):
+        "b19c1679f905bcac0e47654afa393aa741136177f6f05425fa66a55fb94762c1",
+    ("metrics", "csv", "cd"):
+        "a2de016cb73bbea96c8141ea0e803dcfef7f387c163be5d90be681dd0466918d",
+    ("metrics", "md", "v"):
+        "dd8cbfc057e0882711b4468d0471dd187648ea45938634e691c34c63da09e8e8",
+    ("metrics", "md", "h"):
+        "0b97c59ff86e7714e77775746fc7fe8cb88fb007bcc027ab45db222c4e500888",
+    ("metrics", "md", "cd"):
+        "2177241ddae7759a6792c06cba34f6c6482869838cd908649f901ca8ba18f6a9",
+    ("compare", "csv", None):
+        "51a61f0ae83183a8dd868805bd2c3a6af72edbaf7116c8e27d2cc8784f51d880",
+}
+
+TABLE_PINS = {
+    ("authors", "metrics"):
+        "b6b1ad8069826ad7390aeda0311e526551cdc8ddddc57a5c280353bb2dac53d3",
+    ("journals", "metrics"):
+        "5c46a5c25a524b7482f0bc8cd689b53779b052a22fd6d215564671a7efd32d91",
+    ("countries", "metrics"):
+        "1cc29d5befc4395258954ade22d29c0de15c05a544f5442f0340ef82f7447863",
+    ("authors", "compare"):
+        "d9c4a0a53ab9c4f793305f1953c147a1f1bf2749965264ffe508cc8781cdefa7",
+    ("journals", "compare"):
+        "feea603a5c4b6f3a0f59204eb50e074113cd894f41ca2c95ea13e86e797e7237",
+    ("countries", "compare"):
+        "3967fefc625ff44167687c8eb8b86992f7da57af9d7538bfa5e5a4cedbdc7ea7",
+}
+
+
+def _digest(argv, capsys) -> str:
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_OK, captured.err
+    return hashlib.sha256(captured.out.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("case", list(WIDE_PINS), ids=lambda case: "-".join(filter(None, case)))
+def test_wide_aggregate_output_is_pinned(case, inputs, capsys):
+    command, fmt, sort = case
+    argv = [command, "--kind", "aggregate", "--input", str(inputs["wide"]), "--format", fmt]
+    if sort is not None:
+        argv += ["--sort", sort]
+    assert _digest(argv, capsys) == WIDE_PINS[case]
+
+
+@pytest.mark.parametrize("case", list(TABLE_PINS), ids="-".join)
+def test_reference_table_output_is_pinned(case, inputs, capsys):
+    table, command = case
+    argv = [command, "--kind", "aggregate", "--input", str(inputs[table])]
+    assert _digest(argv, capsys) == TABLE_PINS[case]
