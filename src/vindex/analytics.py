@@ -145,7 +145,7 @@ def rank(rows: Sequence[MetricsRow], key: SortKey = "v_index") -> RankedTable:
     by_cd = sorted(by_h, key=neg_cd.__getitem__)
     by_v = sorted(by_h, key=[-row.v_index for row in rows].__getitem__)
     pos_cd, pos_h, pos_v = _positions(by_cd), _positions(by_h), _positions(by_v)
-    order = {"v_index": by_v, "h_index": by_h, "cd": by_cd}[key]
+    order = dict(zip(_SORT_KEYS, (by_v, by_h, by_cd)))[key]
     ranked = tuple(
         [RankedRow(rows[index], pos_cd[index], pos_h[index], pos_v[index]) for index in order]
     )

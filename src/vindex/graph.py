@@ -211,13 +211,11 @@ def _utf8(data: str | bytes) -> bytes:
 
 def _item_lines(items: Iterable[str | bytes]) -> Iterator[bytes]:
     """Each item as UTF-8 lines, split after each line feed it holds, as a
-    file is; the end of an item also ends a line."""
+    file is; the end of an item also ends a line, so an empty item is one
+    empty line."""
     for item in items:
         data = _utf8(item)
-        if 0 <= data.find(b"\n") < len(data) - 1:
-            yield from io.BytesIO(data)
-        else:
-            yield data
+        yield from io.BytesIO(data).readlines() or [data]
 
 
 def _decode(raw: bytes, line: int, source: str | None) -> str:
