@@ -12,20 +12,13 @@ The package splits into three layers plus a CLI:
   rendering.
 * :mod:`vindex.cli` - the ``vindex`` command with the ``metrics``,
   ``validate``, ``synth``, and ``compare`` subcommands.
+
+The package exports every name in the three layers' ``__all__`` and the
+error classes; a public name is declared only in its own layer.
 """
 
-from .analytics import (
-    BatchStats,
-    CitationCurves,
-    CorrelationResult,
-    RankedRow,
-    RankedTable,
-    batch_stats,
-    export_citation_curves,
-    pearson,
-    rank,
-    render_table,
-)
+from . import analytics, graph, metrics
+from .analytics import *
 from .errors import (
     CorpusIntegrityError,
     CorpusParseError,
@@ -33,80 +26,19 @@ from .errors import (
     UnknownEntityError,
     VindexError,
 )
-from .graph import (
-    AuditReport,
-    Corpus,
-    EntityAggregate,
-    Paper,
-    PaperCitations,
-    aggregate_all,
-    audit_aggregate,
-    audit_corpus,
-    generate_synthetic_corpus,
-    ingest_corpus,
-    read_aggregate_csv,
-    self_citation_fraction,
-    serialize_corpus,
-    write_aggregate_csv,
-)
-from .metrics import (
-    CitationCounts,
-    MetricsRow,
-    WeightFunction,
-    adjusted_citations_per_publication,
-    citations_per_publication,
-    generalized_v_index,
-    h_index,
-    metrics_row,
-    v_index,
-    v_rate,
-)
+from .graph import *
+from .metrics import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # errors
     "VindexError",
     "DomainError",
     "CorpusParseError",
     "CorpusIntegrityError",
     "UnknownEntityError",
-    # metrics
-    "CitationCounts",
-    "WeightFunction",
-    "MetricsRow",
-    "h_index",
-    "v_rate",
-    "v_index",
-    "generalized_v_index",
-    "citations_per_publication",
-    "adjusted_citations_per_publication",
-    "metrics_row",
-    # graph
-    "Paper",
-    "Corpus",
-    "PaperCitations",
-    "EntityAggregate",
-    "AuditReport",
-    "ingest_corpus",
-    "serialize_corpus",
-    "aggregate_all",
-    "self_citation_fraction",
-    "generate_synthetic_corpus",
-    "read_aggregate_csv",
-    "write_aggregate_csv",
-    "audit_corpus",
-    "audit_aggregate",
-    # analytics
-    "RankedRow",
-    "RankedTable",
-    "CorrelationResult",
-    "BatchStats",
-    "CitationCurves",
-    "rank",
-    "pearson",
-    "batch_stats",
-    "export_citation_curves",
-    "render_table",
+    *metrics.__all__,
+    *graph.__all__,
+    *analytics.__all__,
 ]

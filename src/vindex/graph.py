@@ -88,14 +88,11 @@ class Paper:
 class Corpus:
     """An immutable set of papers keyed by id.
 
-    ``dangling_refs`` counts references whose target is absent from the
-    corpus. They stay recorded on their papers (serialization preserves
-    them) but never enter any citation tally. ``self_loops`` counts the
-    self-references ``ingest_corpus`` stripped from refs.
+    ``self_loops`` counts the self-references ``ingest_corpus`` stripped
+    from refs.
     """
 
     papers: dict[str, Paper]
-    dangling_refs: int = 0
     self_loops: int = 0
 
     def __len__(self) -> int:
@@ -112,6 +109,14 @@ class Corpus:
             return self.papers[paper_id]
         except KeyError:
             raise UnknownEntityError(f"unknown paper id {paper_id!r}") from None
+
+    @property
+    def dangling_refs(self) -> int:
+        """References whose target is absent from the corpus. They stay on
+        their papers, so serialization preserves them, but never enter any
+        citation tally."""
+        papers = self.papers
+        return sum(1 for paper in papers.values() for ref in paper.refs if ref not in papers)
 
     @property
     def missing_venue_edges(self) -> int:
@@ -229,13 +234,14 @@ def _decode(raw: bytes, line: int, source: str | None) -> str:
 
 
 def _csv_lines(
-    lines: Iterable[bytes], source: str | None, bad: list[CorpusParseError]
+    lines: Iterable[bytes], source: str | None, bad: list[CorpusParseError], record: list[str]
 ) -> Iterator[str]:
     """Text lines for ``csv.reader``, split where text mode with
     ``newline=""`` splits them: each byte line is split again at bare
     carriage returns and decoded. An undecodable line goes into ``bad`` and
     on to the reader with replacement characters, so the reader keeps its
-    place and the caller can reject the row it lands in."""
+    place and the caller can reject the row it lands in. Each line is also
+    appended to ``record``, which ``_csv_rows`` empties at every row."""
     line_no = 0
     for chunk in lines:
         try:
@@ -245,6 +251,7 @@ def _csv_lines(
         else:
             if "\r" not in text:
                 line_no += 1
+                record.append(text)
                 yield text
                 continue
         for piece in chunk.splitlines(keepends=True):
@@ -254,6 +261,7 @@ def _csv_lines(
             except CorpusParseError as exc:
                 bad.append(exc)
                 text = piece.decode("utf-8", "replace")
+            record.append(text)
             yield text
 
 
@@ -355,10 +363,6 @@ def _corpus_records(
             yield line_no, paper, loops, error
 
 
-def _dangling_refs(papers: dict[str, Paper]) -> int:
-    return sum(1 for p in papers.values() for ref in p.refs if ref not in papers)
-
-
 def ingest_corpus(source: str | Path | IO | bytes | Iterable[str]) -> Corpus:
     """Load a JSONL corpus, one paper object per line: the strict policy
     over the JSONL pass, raising its first error.
@@ -381,7 +385,7 @@ def ingest_corpus(source: str | Path | IO | bytes | Iterable[str]) -> Corpus:
                 raise error
             papers[paper.id] = paper
             self_loops += loops
-    return Corpus(papers=papers, dangling_refs=_dangling_refs(papers), self_loops=self_loops)
+    return Corpus(papers=papers, self_loops=self_loops)
 
 
 def serialize_corpus(corpus: Corpus) -> str:
@@ -561,7 +565,7 @@ def generate_synthetic_corpus(
         papers[paper_id] = paper
         for name in authors:
             by_author[name].append(index)
-    return Corpus(papers=papers, dangling_refs=0)
+    return Corpus(papers=papers)
 
 
 # ---------------------------------------------------------------------------
@@ -621,15 +625,24 @@ def _row_from_fields(
         raise DomainError(f"entity {entity_id!r}: {exc}", line=line, source=source) from None
 
 
-def _csv_rows(reader, source: str | None) -> Iterator[list[str] | CorpusParseError]:
-    """The rows of ``reader``, and the error in place of a row it refuses."""
+def _csv_rows(
+    reader, record: list[str], source: str | None
+) -> Iterator[list[str] | CorpusParseError]:
+    """The rows of ``reader``, and the error in place of a row it refuses.
+    ``record`` gathers the lines the reader takes for one row. After an
+    error the reader starts afresh on the next line, so when those lines
+    hold an odd number of quotes, a quoted field is still open and the
+    rows end there: the rest of the field would be read as rows."""
     while True:
+        record.clear()
         try:
             yield next(reader)
         except StopIteration:
             return
         except csv.Error as exc:
             yield CorpusParseError(str(exc), line=reader.line_num, source=source)
+            if "".join(record).count('"') % 2:
+                return
 
 
 def _aggregate_rows(
@@ -640,8 +653,9 @@ def _aggregate_rows(
     entity and counts, or None and the error that rejects it. A header
     that is missing, undecodable or wrong ends the pass."""
     bad: list[CorpusParseError] = []
-    reader = csv.reader(_csv_lines(lines, source, bad))
-    rows = _csv_rows(reader, source)
+    record: list[str] = []
+    reader = csv.reader(_csv_lines(lines, source, bad, record))
+    rows = _csv_rows(reader, record, source)
     header = next(rows, None)
     if header is None:
         yield None, CorpusParseError("empty file, expected a header row", line=1, source=source)
@@ -746,7 +760,7 @@ def audit_corpus(
                 report.errors.append(str(error))
             else:
                 papers[paper.id] = paper
-    dangling = _dangling_refs(papers)
+    dangling = Corpus(papers).dangling_refs
     if dangling:
         report.warnings.append(
             f"{dangling} reference(s) point outside the corpus and will be ignored"

@@ -76,8 +76,14 @@ class CitationCounts:
             )
 
 
-_POWER_KINDS = ("power_concave", "power_convex")
-_WEIGHT_KINDS = ("canonical_sqrt", "unity", "linear") + _POWER_KINDS
+# Each named kind is its own spec and maps to its f; a power kind's spec is
+# its form here with the exponent filled in.
+_NAMED_WEIGHTS = {"sqrt": math.sqrt, "unity": lambda x: 1.0, "linear": float}
+_POWER_SPECS = {"power_concave": "x^(1/{})", "power_convex": "x^{}"}
+_POWER_PATTERN = re.compile(r"x\^(?:([0-9]+)|\(1/([0-9]+)\))")
+# Exponents below this convert to float, so 1/N and x**N are floats; the
+# 308 digits ``parse`` reads always stay below it.
+_MAX_EXPONENT = 10**308
 
 
 @dataclass(frozen=True)
@@ -87,20 +93,21 @@ class WeightFunction:
     The family is closed by construction: the canonical square root, the
     constant 1 (which recovers the plain h-index), the identity, and the
     integer power laws x^(1/n) (concave, milder than sqrt for n > 2) and
-    x^n (convex, harsher than the identity) with n >= 2. Every member is
-    non-decreasing and fixes f(1) = 1, so a clean record is never penalized.
+    x^n (convex, harsher than the identity) with 2 <= n < 10**308. Every
+    member is non-decreasing and fixes f(1) = 1, so a clean record is never
+    penalized.
     """
 
     kind: str
     exponent: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _WEIGHT_KINDS:
-            raise DomainError(f"unknown weight kind {self.kind!r}")
-        if self.kind in _POWER_KINDS:
+        if self.kind in _POWER_SPECS:
             exp = self.exponent
-            if isinstance(exp, bool) or not isinstance(exp, int) or exp < 2:
-                raise DomainError("power weights need an integer exponent >= 2")
+            if isinstance(exp, bool) or not isinstance(exp, int) or not 2 <= exp < _MAX_EXPONENT:
+                raise DomainError("power weights need an integer exponent >= 2 and < 10**308")
+        elif self.kind not in _NAMED_WEIGHTS:
+            raise DomainError(f"unknown weight kind {self.kind!r}")
         elif self.exponent is not None:
             raise DomainError(f"weight kind {self.kind!r} takes no exponent")
 
@@ -108,7 +115,7 @@ class WeightFunction:
 
     @classmethod
     def sqrt(cls) -> WeightFunction:
-        return cls("canonical_sqrt")
+        return cls("sqrt")
 
     @classmethod
     def unity(cls) -> WeightFunction:
@@ -131,59 +138,41 @@ class WeightFunction:
         """Parse a weight spec string.
 
         Accepted forms: "sqrt", "unity", "linear", "x^N" and "x^(1/N)" with
-        integer N >= 2. Anything else raises DomainError.
+        N >= 2 written in at most 308 ASCII digits. Anything else raises
+        DomainError.
         """
         text = spec.strip().lower()
-        if text == "sqrt":
-            return cls.sqrt()
-        if text == "unity":
-            return cls.unity()
-        if text == "linear":
-            return cls.linear()
-        match = re.fullmatch(r"x\^\(1/(\d+)\)", text)
-        if match:
-            n = int(match.group(1))
-            if n < 2:
-                raise DomainError(f"weight spec {spec!r}: exponent must be >= 2 (use 'linear' for 1)")
-            return cls.concave(n)
-        match = re.fullmatch(r"x\^(\d+)", text)
-        if match:
-            n = int(match.group(1))
-            if n < 2:
-                raise DomainError(f"weight spec {spec!r}: exponent must be >= 2 (use 'linear' for 1)")
-            return cls.convex(n)
-        raise DomainError(
-            f"unrecognized weight spec {spec!r}; expected 'sqrt', 'unity', "
-            "'linear', 'x^N' or 'x^(1/N)' with integer N >= 2"
-        )
+        if text in _NAMED_WEIGHTS:
+            return cls(text)
+        match = _POWER_PATTERN.fullmatch(text)
+        if match is None:
+            raise DomainError(
+                f"unrecognized weight spec {spec!r}; expected 'sqrt', 'unity', "
+                "'linear', 'x^N' or 'x^(1/N)' with integer N >= 2"
+            )
+        convex, concave = match.groups()
+        digits = convex or concave
+        # Checked before ``int``, which refuses more than 4300 digits.
+        if len(digits) > 308:
+            raise DomainError(f"weight spec {spec!r}: exponent too large")
+        n = int(digits)
+        if n < 2:
+            raise DomainError(f"weight spec {spec!r}: exponent must be >= 2 (use 'linear' for 1)")
+        return cls("power_convex" if convex else "power_concave", n)
 
     @property
     def spec(self) -> str:
         """The canonical spec string, the inverse of :meth:`parse`."""
-        if self.kind == "canonical_sqrt":
-            return "sqrt"
-        if self.kind == "unity":
-            return "unity"
-        if self.kind == "linear":
-            return "linear"
-        if self.kind == "power_concave":
-            return f"x^(1/{self.exponent})"
-        return f"x^{self.exponent}"
+        return _POWER_SPECS.get(self.kind, self.kind).format(self.exponent)
 
     def __call__(self, x: float) -> float:
         if not 0.0 <= x <= 1.0:
             raise DomainError(f"weight argument must lie in [0, 1], got {x!r}")
-        if self.kind == "canonical_sqrt":
-            return math.sqrt(x)
-        if self.kind == "unity":
-            return 1.0
-        if self.kind == "linear":
-            return float(x)
         if self.kind == "power_concave":
-            assert self.exponent is not None
             return float(x) ** (1.0 / self.exponent)
-        assert self.exponent is not None
-        return float(x) ** self.exponent
+        if self.kind == "power_convex":
+            return float(x) ** self.exponent
+        return _NAMED_WEIGHTS[self.kind](x)
 
 
 @dataclass(frozen=True)

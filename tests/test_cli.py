@@ -175,6 +175,27 @@ def test_metrics_bad_weight_spec(corpus_path, capsys):
     assert "error:" in captured.err
 
 
+@pytest.mark.parametrize("command", ["metrics", "compare"])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        pytest.param("x^\u0663", id="arabic-indic-digit"),
+        pytest.param("x^\uff13", id="fullwidth-digit"),
+        pytest.param("x^" + "9" * 5000, id="5000-digits"),
+        pytest.param("x^1" + "0" * 400, id="1e400"),
+        pytest.param("x^(1/1" + "0" * 400 + ")", id="1/1e400"),
+        pytest.param("x^1" + "0" * 308, id="309-digits"),
+    ],
+)
+def test_refused_weight_spec_is_one_data_error(command, spec, corpus_path, capsys):
+    baseline = ["--weight", "sqrt"] if command == "compare" else []
+    code = main([command, "--input", str(corpus_path), *baseline, "--weight", spec])
+    captured = capsys.readouterr()
+    assert code == EXIT_DATA
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_usage_errors_exit_2(capsys):
     assert main([]) == 2
     capsys.readouterr()

@@ -429,6 +429,11 @@ def test_serialize_ingest_round_trip(handmade):
     assert serialize_corpus(again) == text
 
 
+def test_hand_built_corpus_counts_its_dangling_refs():
+    corpus = Corpus({"p1": Paper("p1", ("a",), refs=("ghost", "p2")), "p2": Paper("p2", ("b",))})
+    assert corpus.dangling_refs == 1
+
+
 def test_round_trip_preserves_dangling_refs():
     corpus = ingest_corpus(['{"id": "p1", "authors": ["a"], "refs": ["ghost"]}'])
     again = ingest_corpus(serialize_corpus(corpus).splitlines())
@@ -976,6 +981,42 @@ def test_aggregate_csv_audit_reads_on_after_an_oversized_field():
     ]
     # the limit is process-wide state, left as it was
     assert csv.field_size_limit() == 131072
+
+
+@pytest.mark.parametrize(
+    "lines, errors",
+    [
+        pytest.param(
+            [CSV_HEADER, '"' + "q" * 131073, 'z",x,1,0,1', "ok,1,1,0,1"],
+            ["line 2: field larger than field limit (131072)"],
+            id="open-quote",
+        ),
+        pytest.param(
+            [CSV_HEADER, '"' + "q" * 131073, 'z",1,1,0,1'],
+            ["line 2: field larger than field limit (131072)"],
+            id="open-quote-valid-tail",
+        ),
+        pytest.param(
+            [CSV_HEADER, '"aaa', "b" * 131073, 'ccc",1,1,0'],
+            ["line 3: field larger than field limit (131072)"],
+            id="quote-opened-a-line-earlier",
+        ),
+        pytest.param(
+            [CSV_HEADER, '"' + "q" * 131073 + '",1,1,0,1', "ok,1,1,0,1", "sc,5,10,20,3"],
+            [
+                "line 2: field larger than field limit (131072)",
+                "line 4: entity 'sc': self_citations (20) exceed citations_total (10)",
+            ],
+            id="quote-closed-on-its-line",
+        ),
+    ],
+)
+def test_aggregate_csv_audit_stops_after_an_oversized_field_only_inside_open_quotes(lines, errors):
+    # Past an open quote the rest of the field would be read as rows.
+    assert audit_aggregate(lines).errors == errors
+    with pytest.raises(CorpusParseError) as excinfo:
+        read_aggregate_csv(lines)
+    assert str(excinfo.value) == errors[0]
 
 
 def test_aggregate_csv_reads_counts_up_to_2_to_the_53():

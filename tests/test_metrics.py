@@ -172,11 +172,36 @@ def test_weight_parse(spec, expected):
 
 @pytest.mark.parametrize(
     "spec",
-    ["", "cube", "x^", "x^0", "x^1", "x^(1/1)", "x^(1/0)", "x^-2", "x^2.5", "x^(2/3)", "sqrt(x)"],
+    [
+        "", "cube", "x^", "x^0", "x^1", "x^(1/1)", "x^(1/0)", "x^-2", "x^2.5", "x^(2/3)", "sqrt(x)",
+        # digits of other scripts: Arabic-Indic three, fullwidth three
+        "x^\u0663", "x^\uff13", "x^(1/\u0663)",
+        # 309 digits and more
+        "x^1" + "0" * 308, "x^(1/1" + "0" * 308 + ")", "x^" + "9" * 5000,
+    ],
 )
 def test_weight_parse_rejects(spec):
     with pytest.raises(DomainError):
         WeightFunction.parse(spec)
+
+
+def test_weight_parse_refuses_a_long_exponent_before_reading_it():
+    spec = "x^1" + "0" * 400
+    with pytest.raises(DomainError, match=r"^weight spec 'x\^10+': exponent too large$"):
+        WeightFunction.parse(spec)
+
+
+def test_weight_parse_takes_an_exponent_of_308_digits():
+    n = 10**308 - 1
+    assert WeightFunction.parse(f"x^{n}") == WeightFunction.convex(n)
+    assert WeightFunction.parse(f"x^(1/{n})") == WeightFunction.concave(n)
+    assert WeightFunction.convex(n)(0.5) == 0.0
+    assert WeightFunction.concave(n)(0.5) == 1.0
+
+
+def test_each_named_weight_kind_is_its_own_spec():
+    for weight in (WeightFunction.sqrt(), WeightFunction.unity(), WeightFunction.linear()):
+        assert weight.kind == weight.spec
 
 
 def test_weight_spec_round_trips():
@@ -185,7 +210,7 @@ def test_weight_spec_round_trips():
         assert WeightFunction.parse(WeightFunction.parse(spec).spec) == WeightFunction.parse(spec)
 
 
-@pytest.mark.parametrize("exponent", [1, 0, -3, 2.0, True])
+@pytest.mark.parametrize("exponent", [1, 0, -3, 2.0, True, 10**308])
 def test_power_weights_need_integer_exponent_at_least_two(exponent):
     with pytest.raises(DomainError):
         WeightFunction.concave(exponent)
