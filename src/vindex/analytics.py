@@ -12,7 +12,7 @@ import csv
 import io
 import math
 import statistics
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 from typing import Iterable, Literal, NamedTuple, Sequence
 
 from .errors import DomainError
@@ -64,11 +64,19 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def _quant3(value: float) -> Decimal:
-    return Decimal(str(value)).quantize(Decimal("0.001"), rounding=ROUND_HALF_UP)
+    """The value's shortest repr rounded half up to three decimals, in a
+    context with room for every digit of the result, so exact at every
+    magnitude; nan and infinities have no such rounding."""
+    exact = Decimal(str(value))
+    if not exact.is_finite():
+        raise DomainError(f"cannot round {value!r} to three decimals")
+    digits = Context(prec=max(exact.adjusted(), 0) + 5)
+    return exact.quantize(Decimal("0.001"), rounding=ROUND_HALF_UP, context=digits)
 
 
 def round3(value: float) -> float:
-    """Round to three decimals with ties going away from zero."""
+    """Round to three decimals with ties going away from zero; nan and
+    infinities raise DomainError."""
     return float(_quant3(value))
 
 
@@ -84,8 +92,8 @@ def fmt3(value: float) -> str:
     that product's fractional part is more than 1e-3 from one half, no
     rounding boundary lies between the binary value and its repr, and both
     round to the same three decimals. Everything else (near-ties, larger
-    magnitudes, nan and inf, ints, bools, Decimals) is rounded through
-    ``Decimal``.
+    magnitudes, ints, bools, Decimals) is rounded through ``Decimal``, and
+    nan and infinities raise DomainError.
     """
     if type(value) is float and -1e9 < value < 1e9 and abs((value * 1000.0) % 1.0 - 0.5) > 1e-3:
         return f"{value:.3f}"

@@ -73,7 +73,7 @@ __all__ = [
 # value types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Paper:
     """One publication node: identity, ownership, venue, and outgoing references."""
 
@@ -289,30 +289,39 @@ def _refuse_lone_surrogates(paper: Paper, line: int, source: str | None) -> None
             raise CorpusParseError(f"'{what}' holds a lone surrogate", line=line, source=source)
 
 
-def _paper_from_record(record: object, line: int, source: str | None) -> tuple[Paper, int]:
+def _paper_from_record(
+    record: object, line: int, source: str | None, names: dict[str, str]
+) -> tuple[Paper, int]:
     """Validate one decoded JSONL record; returns the paper and the number of
-    self-referencing entries stripped from its refs."""
+    self-referencing entries stripped from its refs.
+
+    Each string is replaced by the first equal one in ``names``, once its
+    type is checked, so a pass holds one object per distinct id, author,
+    venue or ref, and a ref is the very object that is its paper's id."""
+    share = names.setdefault
     if not isinstance(record, dict):
         raise CorpusParseError("record must be a JSON object", line=line, source=source)
     paper_id = record.get("id")
     if not isinstance(paper_id, str) or not paper_id:
         raise CorpusParseError("'id' must be a non-empty string", line=line, source=source)
+    paper_id = share(paper_id, paper_id)
     if "authors" not in record:
         raise CorpusParseError(f"paper {paper_id!r} has no 'authors'", line=line, source=source)
-    authors = tuple(_string_list(record["authors"], "'authors'", line, source))
+    authors = _string_list(record["authors"], "'authors'", line, source)
     if not authors:
         raise CorpusParseError(
             f"paper {paper_id!r} needs at least one author", line=line, source=source
         )
+    authors = tuple(map(share, authors, authors))
     venue = record.get("venue")
     if venue is not None and not isinstance(venue, str):
         raise CorpusParseError("'venue' must be a string", line=line, source=source)
-    if venue == "":
-        venue = None
+    venue = share(venue, venue) if venue else None
     year = record.get("year")
     if year is not None and (isinstance(year, bool) or not isinstance(year, int)):
         raise CorpusParseError("'year' must be an integer", line=line, source=source)
-    refs = dict.fromkeys(_string_list(record.get("refs", []), "'refs'", line, source))
+    refs = _string_list(record.get("refs", []), "'refs'", line, source)
+    refs = dict.fromkeys(map(share, refs, refs))
     # Collapsing duplicates leaves at most one self-reference.
     self_loops = 0
     if paper_id in refs:
@@ -331,8 +340,10 @@ def _corpus_records(
     rejects the line, or None. A line that does not parse has no paper; a
     duplicate id keeps its paper, so its stripped self-references are still
     reported. A byte-order mark opening line 1 is dropped, as the CSV pass
-    drops it from its header."""
+    drops it from its header. Equal strings of the whole pass share one
+    object."""
     seen: set[str] = set()
+    names: dict[str, str] = {}
     for line_no, raw in enumerate(lines, start=1):
         try:
             text = _decode(raw, line_no, source)
@@ -340,7 +351,7 @@ def _corpus_records(
                 text = text.removeprefix("\ufeff")
             if not text.strip():
                 continue
-            paper, loops = _paper_from_record(json.loads(text), line_no, source)
+            paper, loops = _paper_from_record(json.loads(text), line_no, source, names)
             if _SURROGATE_ESCAPE.search(text):
                 _refuse_lone_surrogates(paper, line_no, source)
         except CorpusParseError as exc:
@@ -376,6 +387,10 @@ def ingest_corpus(source: str | Path | IO | bytes | Iterable[str]) -> Corpus:
     with CorpusIntegrityError. Self-references in ``refs`` are stripped and
     counted as ``self_loops``, duplicate refs are collapsed, and refs
     pointing outside the corpus are counted as dangling.
+
+    Equal strings are shared: the corpus holds one object per distinct id,
+    author, venue or ref, and a ref to a paper is that paper's id, which is
+    also its key in ``papers``.
     """
     papers: dict[str, Paper] = {}
     self_loops = 0
@@ -510,7 +525,8 @@ def generate_synthetic_corpus(
     slot prefers a target sharing at least one author with probability
     ``self_cite_bias`` and a disjoint-author target otherwise, falling back
     to whatever pool is non-empty. The same seed always reproduces the same
-    corpus, byte for byte.
+    corpus, byte for byte. Equal strings are shared, as ``ingest_corpus``
+    shares them: each ref is the id of the paper it names.
 
     Each paper costs O(H log H) for a team history of H earlier papers,
     whatever its index: a disjoint target is drawn by its rank among the
@@ -525,6 +541,7 @@ def generate_synthetic_corpus(
         raise DomainError(f"self_cite_bias must lie in [0, 1], got {self_cite_bias!r}")
     rng = random.Random(seed)
     author_pool = [f"a{i:03d}" for i in range(1, n_authors + 1)]
+    ids = [f"p{i:04d}" for i in range(1, n_papers + 1)]
     by_author: dict[str, list[int]] = {name: [] for name in author_pool}
     papers: dict[str, Paper] = {}
     for index in range(n_papers):
@@ -554,15 +571,14 @@ def generate_synthetic_corpus(
                 target += 1
             insort(taken, target)
             chosen.append(target)
-        paper_id = f"p{index + 1:04d}"
-        paper = Paper(
+        paper_id = ids[index]
+        papers[paper_id] = Paper(
             id=paper_id,
             authors=authors,
             venue=rng.choice(_VENUE_POOL),
             year=2000 + index % 12,
-            refs=tuple(f"p{j + 1:04d}" for j in sorted(chosen)),
+            refs=tuple(ids[j] for j in sorted(chosen)),
         )
-        papers[paper_id] = paper
         for name in authors:
             by_author[name].append(index)
     return Corpus(papers=papers)
@@ -625,14 +641,33 @@ def _row_from_fields(
         raise DomainError(f"entity {entity_id!r}: {exc}", line=line, source=source) from None
 
 
+# One field of the csv module's default dialect: a quote opens a quoted
+# field only as its first character, ``""`` inside one is a quote, and
+# after the closing quote the field runs on unquoted. Group 1 is empty
+# when the quoted field is still open at the end of the text.
+_CSV_FIELD = re.compile(r'"[^"]*(?:""[^"]*)*("?)[^,\r\n]*|[^,\r\n]*')
+
+
+def _quote_left_open(text: str) -> bool:
+    """Whether ``text``, read as CSV records, ends inside a quoted field."""
+    start = 0
+    while True:
+        match = _CSV_FIELD.match(text, start)
+        if match.group(1) == "":
+            return True
+        start = match.end() + 1
+        if start > len(text):
+            return False
+
+
 def _csv_rows(
     reader, record: list[str], source: str | None
 ) -> Iterator[list[str] | CorpusParseError]:
     """The rows of ``reader``, and the error in place of a row it refuses.
     ``record`` gathers the lines the reader takes for one row. After an
     error the reader starts afresh on the next line, so when those lines
-    hold an odd number of quotes, a quoted field is still open and the
-    rows end there: the rest of the field would be read as rows."""
+    end inside a quoted field the rows end there: the rest of the field
+    would be read as rows."""
     while True:
         record.clear()
         try:
@@ -641,7 +676,7 @@ def _csv_rows(
             return
         except csv.Error as exc:
             yield CorpusParseError(str(exc), line=reader.line_num, source=source)
-            if "".join(record).count('"') % 2:
+            if _quote_left_open("".join(record)):
                 return
 
 

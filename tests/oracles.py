@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import json
 import random
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
+
+from vindex.errors import DomainError
 
 
 def brute_h(counts) -> int:
@@ -172,8 +174,14 @@ def synthetic_corpus_jsonl(seed: int, n_papers: int, n_authors: int, self_cite_b
 
 def fmt3_reference(value) -> str:
     """Three decimals, ties away from zero, by rounding the value's shortest
-    repr as a ``Decimal``; raises what ``Decimal`` raises."""
-    return str(Decimal(str(value)).quantize(Decimal("0.001"), rounding=ROUND_HALF_UP))
+    repr as a ``Decimal`` with 400 digits of precision, more than any float
+    needs. nan and infinities raise DomainError; anything ``Decimal``
+    refuses raises what it raises."""
+    exact = Decimal(str(value))
+    if exact.is_nan() or exact.is_infinite():
+        raise DomainError(f"cannot round {value!r} to three decimals")
+    rounded = exact.quantize(Decimal("0.001"), rounding=ROUND_HALF_UP, context=Context(prec=400))
+    return str(rounded)
 
 
 def rank_reference(rows, key: str) -> list[tuple]:

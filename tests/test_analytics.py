@@ -72,6 +72,30 @@ def test_round3_matches_fmt3():
         assert round3(value) == float(fmt3(value))
 
 
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        (1e25, "10000000000000000000000000.000"),
+        (-1e25, "-10000000000000000000000000.000"),
+        (1.7976931348623157e308, "17976931348623157" + "0" * 292 + ".000"),  # the repr's digits
+        (Decimal("12345678901234567890123456789.0005"), "12345678901234567890123456789.001"),
+        (Decimal("-99999999999999999999999999999.9995"), "-100000000000000000000000000000.000"),
+    ],
+)
+def test_fmt3_rounds_exactly_past_28_digits(value, expected):
+    assert fmt3(value) == expected
+    assert round3(value) == float(expected)
+
+
+@pytest.mark.parametrize(
+    "value", [math.nan, -math.nan, math.inf, -math.inf, Decimal("NaN"), Decimal("-Infinity")]
+)
+def test_fmt3_and_round3_refuse_nan_and_infinities(value):
+    for function in (fmt3, round3):
+        with pytest.raises(DomainError, match="cannot round"):
+            function(value)
+
+
 def _outcome(function, value):
     try:
         return function(value)

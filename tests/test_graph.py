@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -23,6 +25,7 @@ from vindex.graph import (
     AuditReport,
     Corpus,
     Paper,
+    _quote_left_open,
     aggregate_all,
     audit_aggregate,
     audit_corpus,
@@ -209,6 +212,12 @@ def test_ingest_normalizes_empty_venue():
         '{"id": "p1", "authors": ["a", null]}',
         '{"id": "p1", "authors": ["a"], "refs": [""]}',
         '{"id": "p1", "authors": ["a"], "refs": ["p2", false]}',
+        # unhashable items: equal strings are shared through a dict, which
+        # only sees an item once it is known to be a string
+        '{"id": "p1", "authors": [[]]}',
+        '{"id": "p1", "authors": [{}]}',
+        '{"id": "p1", "authors": ["a"], "refs": [[]]}',
+        '{"id": "p1", "authors": ["a"], "refs": [{}]}',
         # json.loads raises ValueError and RecursionError for these two
         pytest.param('{"id": "p1", "authors": ["a"], "year": ' + "9" * 5000 + "}", id="huge-int"),
         pytest.param("[" * 100_000 + "]" * 100_000, id="deep-nesting"),
@@ -220,6 +229,92 @@ def test_ingest_rejects_malformed_line(line):
         ingest_corpus([good, line])
     assert "line 2" in str(excinfo.value)
     assert audit_corpus([good, line]).errors == [str(excinfo.value)]
+
+
+# ---------------------------------------------------------------------------
+# shared strings
+# ---------------------------------------------------------------------------
+
+def test_ingest_shares_each_ref_with_the_id_it_names(handmade):
+    # json.loads builds every string afresh; only the pass shares them. p2
+    # cites p1 before p1's own line, and both cite the same dangling id.
+    forward = ingest_corpus(
+        jsonl(
+            {"id": "p2", "authors": ["ann"], "refs": ["p1", "ghost"]},
+            {"id": "p1", "authors": ["bob"]},
+            {"id": "p3", "authors": ["bob"], "refs": ["p1", "p2", "ghost"]},
+        ).splitlines()
+    )
+    assert forward.paper("p2").refs[1] is forward.paper("p3").refs[2]
+    synthetic = ingest_corpus(synthetic_corpus_jsonl(5, 60, 9, 0.3).splitlines())
+    for corpus in (forward, handmade, synthetic):
+        for paper_id, paper in corpus.papers.items():
+            assert paper_id is paper.id
+            for ref in paper.refs:
+                if ref in corpus:
+                    assert ref is corpus.paper(ref).id
+
+
+def test_ingest_shares_an_author_and_a_venue_across_papers(handmade):
+    authors = {}
+    venues = {}
+    for paper in handmade:
+        for name in paper.authors:
+            assert authors.setdefault(name, name) is name
+        assert venues.setdefault(paper.venue, paper.venue) is paper.venue
+    assert handmade.paper("p1").authors[0] is handmade.paper("p2").authors[0]
+    assert handmade.paper("p1").venue is handmade.paper("p3").venue
+
+
+def test_synthetic_refs_are_the_ids_of_their_papers():
+    corpus = generate_synthetic_corpus(9, 300, 20, 0.4)
+    assert sum(len(paper.refs) for paper in corpus) > 300
+    for paper in corpus:
+        for ref in paper.refs:
+            assert ref is corpus.paper(ref).id
+
+
+def test_a_shared_ref_costs_a_pointer_not_a_string():
+    def lines(n_refs):
+        return [
+            json.dumps(
+                {
+                    "id": f"paper-{i:05d}",
+                    "authors": [f"author-{i % 50:03d}"],
+                    "refs": [f"paper-{j:05d}" for j in range(max(0, i - n_refs), i)],
+                }
+            )
+            for i in range(1000)
+        ]
+
+    def held(text):
+        tracemalloc.start()
+        try:
+            corpus = ingest_corpus(text)
+            return tracemalloc.get_traced_memory()[0], corpus
+        finally:
+            tracemalloc.stop()
+
+    bare, _ = held(lines(0))
+    full, corpus = held(lines(20))
+    n_refs = sum(len(paper.refs) for paper in corpus)
+    assert n_refs == 19_790
+    # Measured at 9.7 bytes per ref: the tuple slot plus a share of the
+    # tuple. A string of its own per ref costs about 60 more.
+    assert (full - bare) / n_refs < 2 * 9.7
+
+
+def test_paper_keeps_its_value_semantics_with_slots():
+    paper = Paper("p1", ("a", "b"), venue="J", year=2001, refs=("p0",))
+    twin = Paper("p1", ("a", "b"), venue="J", year=2001, refs=("p0",))
+    assert paper == twin and hash(paper) == hash(twin)
+    assert repr(paper) == (
+        "Paper(id='p1', authors=('a', 'b'), venue='J', year=2001, refs=('p0',))"
+    )
+    assert dataclasses.replace(paper, year=2002) == Paper("p1", ("a", "b"), "J", 2002, ("p0",))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        paper.year = 2002
+    assert not hasattr(paper, "__dict__")
 
 
 def test_ingest_rejects_invalid_utf8_with_its_line(tmp_path):
@@ -1009,6 +1104,20 @@ def test_aggregate_csv_audit_reads_on_after_an_oversized_field():
             ],
             id="quote-closed-on-its-line",
         ),
+        *(
+            pytest.param(
+                [CSV_HEADER, field + ",1,1,0,1", "bad,1"],
+                [
+                    "line 2: field larger than field limit (131072)",
+                    "line 3: expected 5 fields, got 2",
+                ],
+                id=case,
+            )
+            for case, field in (
+                ("literal-quote-in-unquoted-field", 'x"' + "q" * 131073),
+                ("literal-quote-after-a-closed-one", '"a"' + "q" * 131073 + '"'),
+            )
+        ),
     ],
 )
 def test_aggregate_csv_audit_stops_after_an_oversized_field_only_inside_open_quotes(lines, errors):
@@ -1017,6 +1126,17 @@ def test_aggregate_csv_audit_stops_after_an_oversized_field_only_inside_open_quo
     with pytest.raises(CorpusParseError) as excinfo:
         read_aggregate_csv(lines)
     assert str(excinfo.value) == errors[0]
+
+
+def test_open_quote_scan_agrees_with_the_csv_module():
+    rng = random.Random(2029)
+    pieces = ['"', '"', '""', ",", "a", "\n", "\r\n"]
+    for _ in range(20_000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 12)))
+        # A sentinel row survives as its own row unless a quoted field is
+        # still open at the end of ``text`` and swallows it.
+        rows = list(csv.reader(io.StringIO(text + "\nZ,Z\n", newline="")))
+        assert _quote_left_open(text) == (rows[-1] != ["Z", "Z"]), repr(text)
 
 
 def test_aggregate_csv_reads_counts_up_to_2_to_the_53():
