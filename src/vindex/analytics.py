@@ -11,8 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-import statistics
-from decimal import ROUND_HALF_UP, Context, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal, InvalidOperation
 from typing import Iterable, Literal, NamedTuple, Sequence
 
 from .errors import DomainError
@@ -66,17 +65,22 @@ __all__ = [
 def _quant3(value: float) -> Decimal:
     """The value's shortest repr rounded half up to three decimals, in a
     context with room for every digit of the result, so exact at every
-    magnitude; nan and infinities have no such rounding."""
-    exact = Decimal(str(value))
-    if not exact.is_finite():
-        raise DomainError(f"cannot round {value!r} to three decimals")
-    digits = Context(prec=max(exact.adjusted(), 0) + 5)
-    return exact.quantize(Decimal("0.001"), rounding=ROUND_HALF_UP, context=digits)
+    magnitude. nan and infinities have no such rounding, and a value that
+    ``Decimal`` cannot read (a bool) or hold once rounded (a magnitude past
+    the default exponent range) has none either: all raise DomainError."""
+    try:
+        exact = Decimal(str(value))
+        if exact.is_finite():
+            digits = Context(prec=max(exact.adjusted(), 0) + 5)
+            return exact.quantize(Decimal("0.001"), rounding=ROUND_HALF_UP, context=digits)
+    except InvalidOperation:
+        pass
+    raise DomainError(f"cannot round {value!r} to three decimals")
 
 
 def round3(value: float) -> float:
-    """Round to three decimals with ties going away from zero; nan and
-    infinities raise DomainError."""
+    """Round to three decimals with ties going away from zero; nan,
+    infinities and what ``Decimal`` cannot round raise DomainError."""
     return float(_quant3(value))
 
 
@@ -289,22 +293,23 @@ class BatchStats(NamedTuple):
 def batch_stats(values: Sequence[float]) -> BatchStats:
     """Mean, median, sample standard deviation (n - 1), min, and max.
 
-    A single observation has no dispersion, so its std_dev is 0.0.
+    The mean is ``math.fsum(data) / n`` and the median the middle of the
+    sorted data (the mean of the two middle values for even n), as
+    ``statistics.fmean`` and ``statistics.median`` compute them. A single
+    observation has no dispersion, so its std_dev is 0.0.
     """
     if len(values) == 0:
         raise DomainError("cannot summarize an empty batch")
     data = [float(value) for value in values]
-    mean = statistics.fmean(data)
+    n = len(data)
+    mean = math.fsum(data) / n
     std_dev = 0.0
-    if len(data) > 1:
-        std_dev = math.sqrt(math.fsum((value - mean) ** 2 for value in data) / (len(data) - 1))
-    return BatchStats(
-        mean=mean,
-        median=statistics.median(data),
-        std_dev=std_dev,
-        min=min(data),
-        max=max(data),
-    )
+    if n > 1:
+        std_dev = math.sqrt(math.fsum((value - mean) ** 2 for value in data) / (n - 1))
+    ordered = sorted(data)
+    middle = n // 2
+    median = ordered[middle] if n % 2 else (ordered[middle - 1] + ordered[middle]) / 2
+    return BatchStats(mean=mean, median=median, std_dev=std_dev, min=min(data), max=max(data))
 
 
 # ---------------------------------------------------------------------------

@@ -596,7 +596,10 @@ def _count(text: str) -> int | None:
     """The integer in ``text`` if it is ASCII digits with an optional leading
     minus, else None. ``int`` alone would also take ``1_0``, other scripts'
     digits and surrounding spaces. A magnitude of more than 16 digits reads
-    as ``_MAX_COUNT + 1``: ``int`` refuses strings over 4300 digits."""
+    as ``_MAX_COUNT + 1``: ``int`` refuses strings over 4300 digits. At most
+    16 ASCII digits, the common case, go straight to ``int``."""
+    if len(text) <= 16 and text.isdigit() and text.isascii():
+        return int(text)
     digits = text[1:] if text.startswith("-") else text
     if not (digits.isascii() and digits.isdigit()):
         return None
@@ -619,7 +622,7 @@ def _row_from_fields(
     entity_id, cd, c, sc, h = fields
     if not entity_id:
         raise CorpusParseError("entity_id must be non-empty", line=line, source=source)
-    counts = [_count(text) for text in (cd, c, sc, h)]
+    counts = [_count(cd), _count(c), _count(sc), _count(h)]
     if None in counts:
         raise CorpusParseError(
             f"entity {entity_id!r}: counts must be integers", line=line, source=source
@@ -631,12 +634,7 @@ def _row_from_fields(
     seen.add(entity_id)
     cd_count, c_count, sc_count, h_count = counts
     try:
-        return entity_id, CitationCounts(
-            citations_total=c_count,
-            self_citations=sc_count,
-            citable_documents=cd_count,
-            h_index=h_count,
-        )
+        return entity_id, CitationCounts(c_count, sc_count, cd_count, h_count)
     except DomainError as exc:
         raise DomainError(f"entity {entity_id!r}: {exc}", line=line, source=source) from None
 

@@ -58,6 +58,12 @@ class CitationCounts:
     h_index: int
 
     def __post_init__(self) -> None:
+        c, sc = self.citations_total, self.self_citations
+        cd, h = self.citable_documents, self.h_index
+        # Exact ints that hold every invariant pass at once; anything else,
+        # int subclasses included, takes the field walk, which words the error.
+        if type(c) is type(sc) is type(cd) is type(h) is int and 0 <= sc <= c and 0 <= h <= cd:
+            return
         for name in _COUNT_FIELDS:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -291,19 +297,18 @@ def metrics_row(
     cost the entity; h = 0 leaves nothing to discount, so the ratio is 1
     there. ``h_star`` cannot be derived from aggregate counts: pipelines
     that own the citation graph pass it in, and it is None otherwise.
+
+    The metrics are those of ``v_rate``, ``generalized_v_index``,
+    ``citations_per_publication`` and ``adjusted_citations_per_publication``,
+    computed by the same expressions without their checks: ``counts`` holds
+    the ``CitationCounts`` invariants (0 <= SC <= C, 0 <= h <= CD), which
+    leave CD = 0 the only input that raises DomainError.
     """
-    rate = v_rate(counts.citations_total, counts.self_citations)
-    index = generalized_v_index(counts.h_index, rate, weight)
-    ratio = index / counts.h_index if counts.h_index > 0 else 1.0
-    return MetricsRow(
-        entity_id=entity_id,
-        counts=counts,
-        v_rate=rate,
-        c_p=citations_per_publication(counts.citations_total, counts.citable_documents),
-        v_p=adjusted_citations_per_publication(
-            counts.citations_total, counts.self_citations, counts.citable_documents
-        ),
-        v_index=index,
-        ratio=ratio,
-        h_star=h_star,
-    )
+    c, sc = counts.citations_total, counts.self_citations
+    cd, h = counts.citable_documents, counts.h_index
+    rate = 1.0 if c == 0 else (c - sc) / c
+    index = weight(rate) * h
+    ratio = index / h if h > 0 else 1.0
+    if cd <= 0:
+        raise DomainError("an entity needs at least one citable document")
+    return MetricsRow(entity_id, counts, rate, c / cd, (c - sc) / cd, index, ratio, h_star)

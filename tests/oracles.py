@@ -9,9 +9,16 @@ from __future__ import annotations
 
 import json
 import random
-from decimal import ROUND_HALF_UP, Context, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal, InvalidOperation
 
 from vindex.errors import DomainError
+from vindex.metrics import (
+    MetricsRow,
+    adjusted_citations_per_publication,
+    citations_per_publication,
+    generalized_v_index,
+    v_rate,
+)
 
 
 def brute_h(counts) -> int:
@@ -175,13 +182,17 @@ def synthetic_corpus_jsonl(seed: int, n_papers: int, n_authors: int, self_cite_b
 def fmt3_reference(value) -> str:
     """Three decimals, ties away from zero, by rounding the value's shortest
     repr as a ``Decimal`` with 400 digits of precision, more than any float
-    needs. nan and infinities raise DomainError; anything ``Decimal``
-    refuses raises what it raises."""
-    exact = Decimal(str(value))
-    if exact.is_nan() or exact.is_infinite():
-        raise DomainError(f"cannot round {value!r} to three decimals")
-    rounded = exact.quantize(Decimal("0.001"), rounding=ROUND_HALF_UP, context=Context(prec=400))
-    return str(rounded)
+    needs. nan and infinities raise DomainError, and so does a value that
+    ``Decimal`` cannot read or round within those digits and its default
+    exponent range, such as True or ``Decimal("1e1000000")``."""
+    try:
+        exact = Decimal(str(value))
+        if exact.is_finite():
+            context = Context(prec=400)
+            return str(exact.quantize(Decimal("0.001"), rounding=ROUND_HALF_UP, context=context))
+    except InvalidOperation:
+        pass
+    raise DomainError(f"cannot round {value!r} to three decimals")
 
 
 def rank_reference(rows, key: str) -> list[tuple]:
@@ -220,3 +231,56 @@ def rank_reference(rows, key: str) -> list[tuple]:
         (rows[i], positions["cd"][i], positions["h_index"][i], positions["v_index"][i])
         for i in order(key)
     ]
+
+
+def count_reference(text: str) -> int | None:
+    """One aggregate CSV count as the reader first parsed it, every field
+    by the same steps: ASCII digits with an optional leading minus, leading
+    zeros dropped, and a magnitude of more than 16 digits read as
+    2**53 + 1; anything else is None."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    digits = digits.lstrip("0") or "0"
+    value = int(digits) if len(digits) <= 16 else 2**53 + 1
+    return -value if text.startswith("-") else value
+
+
+_COUNT_NAMES = ("citations_total", "self_citations", "citable_documents", "h_index")
+
+
+def counts_error_reference(c, sc, cd, h) -> str | None:
+    """The message ``CitationCounts(c, sc, cd, h)`` must raise, or None if
+    it must accept them: every field is checked in order for its type (an
+    int, a subclass too, but not a bool) and then its sign, and after that
+    SC <= C and h <= CD."""
+    for name, value in zip(_COUNT_NAMES, (c, sc, cd, h)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            return f"{name} must be an integer, got {value!r}"
+        if value < 0:
+            return f"{name} must be >= 0, got {value}"
+    if sc > c:
+        return f"self_citations ({sc}) exceed citations_total ({c})"
+    if h > cd:
+        return f"h_index ({h}) exceeds citable_documents ({cd})"
+    return None
+
+
+def metrics_row_reference(entity_id, counts, weight, h_star=None) -> MetricsRow:
+    """The metric row built through the checked public helpers, one call
+    per column, as ``metrics_row`` first did."""
+    rate = v_rate(counts.citations_total, counts.self_citations)
+    index = generalized_v_index(counts.h_index, rate, weight)
+    ratio = index / counts.h_index if counts.h_index > 0 else 1.0
+    return MetricsRow(
+        entity_id=entity_id,
+        counts=counts,
+        v_rate=rate,
+        c_p=citations_per_publication(counts.citations_total, counts.citable_documents),
+        v_p=adjusted_citations_per_publication(
+            counts.citations_total, counts.self_citations, counts.citable_documents
+        ),
+        v_index=index,
+        ratio=ratio,
+        h_star=h_star,
+    )

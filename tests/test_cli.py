@@ -679,12 +679,14 @@ def test_compare_aggregate_input(aggregate_path, capsys):
 # ---------------------------------------------------------------------------
 
 def test_import_loads_no_numpy_or_scipy():
-    # nor logging: warnings are the CLI's to print, so the library keeps none
+    # nor logging: warnings are the CLI's to print, so the library keeps none;
+    # nor statistics and the fractions it pulls in, which batch_stats does without
     src = str(Path(vindex.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
+    absent = ("numpy", "scipy", "logging", "statistics", "fractions")
     probe = (
         "import sys, vindex, vindex.cli\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy', 'logging')))"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] in {absent!r}))"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
@@ -707,3 +709,31 @@ def test_bench_tracer_names_resolve():
     for module_name, name in spans.TRACED:
         module = importlib.import_module(f"vindex.{module_name}")
         assert callable(getattr(module, name, None)), f"vindex.{module_name}.{name}"
+
+
+def test_aggregate_metrics_calls_each_traced_layer_by_name(tmp_path, monkeypatch, capsys):
+    # The tracer times a layer only when the CLI looks its function up on
+    # the module at call time; a direct reference would hide it from spans.
+    calls = dict.fromkeys(
+        [("graph", "read_aggregate_csv"), ("metrics", "metrics_row"),
+         ("analytics", "rank"), ("analytics", "render_table")],
+        0,
+    )
+    for key in calls:
+        module = importlib.import_module(f"vindex.{key[0]}")
+
+        def counting(*args, _key=key, _function=getattr(module, key[1]), **kwargs):
+            calls[_key] += 1
+            return _function(*args, **kwargs)
+
+        monkeypatch.setattr(module, key[1], counting)
+    path = tmp_path / "entities.csv"
+    path.write_text("entity_id,cd,c,sc,h\na,3,10,2,2\nb,2,4,0,1\nc,1,0,0,0\n", encoding="utf-8")
+    assert main(["metrics", "--kind", "aggregate", "--input", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith(HEADER)
+    assert calls == {
+        ("graph", "read_aggregate_csv"): 1,
+        ("metrics", "metrics_row"): 3,
+        ("analytics", "rank"): 1,
+        ("analytics", "render_table"): 1,
+    }

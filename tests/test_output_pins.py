@@ -83,6 +83,14 @@ WIDE_PINS = {
         "51a61f0ae83183a8dd868805bd2c3a6af72edbaf7116c8e27d2cc8784f51d880",
 }
 
+# ``metrics --kind aggregate`` on the wide CSV under each other weight kind.
+WEIGHT_PINS = {
+    "x^(1/3)": "f7fe84e01b62d78204c1dade015f19263f3a1c168b228ade755d6be99e896bb6",
+    "x^3": "50e6a82a8da4248d0db856b0a601a9b8ec455f6a09e9ef0cdd927203f8a392fa",
+    "linear": "56a57ec1e5cc17808279603ea8b85ec16b5fa51a5313a6113eed0ebd71b9afca",
+    "unity": "710ababf5bb18a2d0b37fa49d71581498ec3607d8b5b5f4e42b53fd9d887be1e",
+}
+
 TABLE_PINS = {
     ("authors", "metrics"):
         "b6b1ad8069826ad7390aeda0311e526551cdc8ddddc57a5c280353bb2dac53d3",
@@ -113,6 +121,12 @@ def test_wide_aggregate_output_is_pinned(case, inputs, capsys):
     if sort is not None:
         argv += ["--sort", sort]
     assert _digest(argv, capsys) == WIDE_PINS[case]
+
+
+@pytest.mark.parametrize("weight", list(WEIGHT_PINS))
+def test_wide_aggregate_weights_are_pinned(weight, inputs, capsys):
+    argv = ["metrics", "--kind", "aggregate", "--input", str(inputs["wide"]), "--weight", weight]
+    assert _digest(argv, capsys) == WEIGHT_PINS[weight]
 
 
 @pytest.mark.parametrize("case", list(TABLE_PINS), ids="-".join)
