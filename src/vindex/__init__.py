@@ -23,7 +23,6 @@ from .errors import (
     CorpusIntegrityError,
     CorpusParseError,
     DomainError,
-    UnknownEntityError,
     VindexError,
 )
 from .graph import *
@@ -37,7 +36,6 @@ __all__ = [
     "DomainError",
     "CorpusParseError",
     "CorpusIntegrityError",
-    "UnknownEntityError",
     *metrics.__all__,
     *graph.__all__,
     *analytics.__all__,

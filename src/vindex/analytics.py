@@ -53,7 +53,6 @@ __all__ = [
     "export_citation_curves",
     "format_table",
     "render_table",
-    "round3",
     "fmt3",
 ]
 
@@ -61,28 +60,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # display rounding
 # ---------------------------------------------------------------------------
-
-def _quant3(value: float) -> Decimal:
-    """The value's shortest repr rounded half up to three decimals, in a
-    context with room for every digit of the result, so exact at every
-    magnitude. nan and infinities have no such rounding, and a value that
-    ``Decimal`` cannot read (a bool) or hold once rounded (a magnitude past
-    the default exponent range) has none either: all raise DomainError."""
-    try:
-        exact = Decimal(str(value))
-        if exact.is_finite():
-            digits = Context(prec=max(exact.adjusted(), 0) + 5)
-            return exact.quantize(Decimal("0.001"), rounding=ROUND_HALF_UP, context=digits)
-    except InvalidOperation:
-        pass
-    raise DomainError(f"cannot round {value!r} to three decimals")
-
-
-def round3(value: float) -> float:
-    """Round to three decimals with ties going away from zero; nan,
-    infinities and what ``Decimal`` cannot round raise DomainError."""
-    return float(_quant3(value))
-
 
 def fmt3(value: float) -> str:
     """Format a real with exactly three decimals, ties away from zero.
@@ -96,12 +73,22 @@ def fmt3(value: float) -> str:
     that product's fractional part is more than 1e-3 from one half, no
     rounding boundary lies between the binary value and its repr, and both
     round to the same three decimals. Everything else (near-ties, larger
-    magnitudes, ints, bools, Decimals) is rounded through ``Decimal``, and
-    nan and infinities raise DomainError.
+    magnitudes, ints, Decimals) is rounded through ``Decimal``, in a context
+    with room for every digit of the result, so exact at every magnitude.
+    nan and infinities have no such rounding, and a value that ``Decimal``
+    cannot read (a bool) or hold once rounded (a magnitude past the default
+    exponent range) has none either: all raise DomainError.
     """
     if type(value) is float and -1e9 < value < 1e9 and abs((value * 1000.0) % 1.0 - 0.5) > 1e-3:
         return f"{value:.3f}"
-    return str(_quant3(value))
+    try:
+        exact = Decimal(str(value))
+        if exact.is_finite():
+            digits = Context(prec=max(exact.adjusted(), 0) + 5)
+            return str(exact.quantize(Decimal("0.001"), rounding=ROUND_HALF_UP, context=digits))
+    except InvalidOperation:
+        pass
+    raise DomainError(f"cannot round {value!r} to three decimals")
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +128,10 @@ def rank(rows: Sequence[MetricsRow], key: SortKey = "v_index") -> RankedTable:
     Positions are 1-based and unique. Ties resolve deterministically in
     favor of the higher h-index, then more citable documents, then the
     lexicographically smaller entity id, so equal inputs always produce
-    identical tables.
+    identical tables. An empty batch gives an empty table.
     """
     if key not in _SORT_KEYS:
         raise DomainError(f"unknown sort key {key!r}")
-    if not rows:
-        raise DomainError("cannot rank an empty batch")
     # Positions are keyed by index in ``rows``, so a row object passed twice
     # still gets two distinct positions. The tie-break order is itself the h
     # order; a stable sort of it on CD alone or on v alone gives the others,

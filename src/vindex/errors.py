@@ -32,7 +32,3 @@ class CorpusParseError(VindexError, ValueError):
 
 class CorpusIntegrityError(VindexError, ValueError):
     """The input parsed but breaks a structural rule (duplicate ids, ...)."""
-
-
-class UnknownEntityError(VindexError, LookupError):
-    """The requested paper, author, or venue is not present in the corpus."""

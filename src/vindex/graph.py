@@ -37,7 +37,6 @@ from .errors import (
     CorpusIntegrityError,
     CorpusParseError,
     DomainError,
-    UnknownEntityError,
     VindexError,
 )
 from .metrics import CitationCounts, h_index
@@ -95,20 +94,8 @@ class Corpus:
     papers: dict[str, Paper]
     self_loops: int = 0
 
-    def __len__(self) -> int:
-        return len(self.papers)
-
     def __iter__(self) -> Iterator[Paper]:
         return iter(self.papers.values())
-
-    def __contains__(self, paper_id: str) -> bool:
-        return paper_id in self.papers
-
-    def paper(self, paper_id: str) -> Paper:
-        try:
-            return self.papers[paper_id]
-        except KeyError:
-            raise UnknownEntityError(f"unknown paper id {paper_id!r}") from None
 
     @property
     def dangling_refs(self) -> int:
@@ -149,7 +136,6 @@ class EntityAggregate:
     """
 
     entity_id: str
-    mode: Mode
     cd: int
     c: int
     sc: int
@@ -482,7 +468,6 @@ def aggregate_all(corpus: Corpus, mode: Mode) -> list[EntityAggregate]:
         aggregates.append(
             EntityAggregate(
                 entity_id=entity_id,
-                mode=mode,
                 cd=len(per_paper),
                 c=c,
                 sc=c - sum(net),
@@ -634,9 +619,13 @@ def _row_from_fields(
     seen.add(entity_id)
     cd_count, c_count, sc_count, h_count = counts
     try:
-        return entity_id, CitationCounts(c_count, sc_count, cd_count, h_count)
+        row = entity_id, CitationCounts(c_count, sc_count, cd_count, h_count)
+        # An entity with no citable document has no C/P or V/P.
+        if cd_count == 0:
+            raise DomainError("citable_documents must be >= 1, got 0")
     except DomainError as exc:
         raise DomainError(f"entity {entity_id!r}: {exc}", line=line, source=source) from None
+    return row
 
 
 # One field of the csv module's default dialect: a quote opens a quoted
@@ -732,9 +721,9 @@ def read_aggregate_csv(
     RFC 4180. A field over ``csv.field_size_limit()``, or a count that is
     not ASCII digits (with an optional leading minus) or whose magnitude
     exceeds 2**53, raises CorpusParseError. Rows violating the count
-    invariants (negative values, sc > c, h > cd) raise DomainError naming
-    the offending entity; duplicate entities raise CorpusIntegrityError.
-    Line numbers name the line on which a row ends.
+    invariants (negative values, sc > c, h > cd) or with cd = 0 raise
+    DomainError naming the offending entity; duplicate entities raise
+    CorpusIntegrityError. Line numbers name the line on which a row ends.
     """
     rows: list[tuple[str, CitationCounts]] = []
     with _open_lines(source) as (lines, name):

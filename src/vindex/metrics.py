@@ -29,8 +29,6 @@ __all__ = [
     "v_rate",
     "v_index",
     "generalized_v_index",
-    "citations_per_publication",
-    "adjusted_citations_per_publication",
     "metrics_row",
 ]
 
@@ -219,7 +217,11 @@ def h_index(citations_per_paper: Iterable[int]) -> int:
     return h
 
 
-def _check_citation_pair(citations: int, self_citations: int) -> None:
+def v_rate(citations: int, self_citations: int) -> float:
+    """Fraction of received citations that are genuine: (C - SC) / C.
+
+    An entity nobody has cited has nothing to answer for, so C = 0 maps to 1.
+    """
     if citations < 0 or self_citations < 0:
         raise DomainError(
             f"citation counts must be >= 0, got C={citations}, SC={self_citations}"
@@ -228,14 +230,6 @@ def _check_citation_pair(citations: int, self_citations: int) -> None:
         raise DomainError(
             f"self-citations ({self_citations}) exceed total citations ({citations})"
         )
-
-
-def v_rate(citations: int, self_citations: int) -> float:
-    """Fraction of received citations that are genuine: (C - SC) / C.
-
-    An entity nobody has cited has nothing to answer for, so C = 0 maps to 1.
-    """
-    _check_citation_pair(citations, self_citations)
     if citations == 0:
         return 1.0
     return (citations - self_citations) / citations
@@ -263,25 +257,6 @@ def generalized_v_index(h: int, rate: float, weight: WeightFunction) -> float:
     return weight(rate) * h
 
 
-def citations_per_publication(citations: int, citable_documents: int) -> float:
-    """Average citations per citable document, C / CD."""
-    if citations < 0:
-        raise DomainError(f"citations must be >= 0, got {citations}")
-    if citable_documents <= 0:
-        raise DomainError("an entity needs at least one citable document")
-    return citations / citable_documents
-
-
-def adjusted_citations_per_publication(
-    citations: int, self_citations: int, citable_documents: int
-) -> float:
-    """Citations per document after removing self-citations, (C - SC) / CD."""
-    _check_citation_pair(citations, self_citations)
-    if citable_documents <= 0:
-        raise DomainError("an entity needs at least one citable document")
-    return (citations - self_citations) / citable_documents
-
-
 _DEFAULT_WEIGHT = WeightFunction.sqrt()
 
 
@@ -298,11 +273,11 @@ def metrics_row(
     there. ``h_star`` cannot be derived from aggregate counts: pipelines
     that own the citation graph pass it in, and it is None otherwise.
 
-    The metrics are those of ``v_rate``, ``generalized_v_index``,
-    ``citations_per_publication`` and ``adjusted_citations_per_publication``,
-    computed by the same expressions without their checks: ``counts`` holds
-    the ``CitationCounts`` invariants (0 <= SC <= C, 0 <= h <= CD), which
-    leave CD = 0 the only input that raises DomainError.
+    V_rate and V_index are those of ``v_rate`` and ``generalized_v_index``,
+    computed by the same expressions without their checks; C/P is C / CD
+    and V/P is (C - SC) / CD. ``counts`` holds the ``CitationCounts``
+    invariants (0 <= SC <= C, 0 <= h <= CD), which leave CD = 0 the only
+    input that raises DomainError.
     """
     c, sc = counts.citations_total, counts.self_citations
     cd, h = counts.citable_documents, counts.h_index

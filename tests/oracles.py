@@ -14,8 +14,6 @@ from decimal import ROUND_HALF_UP, Context, Decimal, InvalidOperation
 from vindex.errors import DomainError
 from vindex.metrics import (
     MetricsRow,
-    adjusted_citations_per_publication,
-    citations_per_publication,
     generalized_v_index,
     v_rate,
 )
@@ -267,19 +265,22 @@ def counts_error_reference(c, sc, cd, h) -> str | None:
 
 
 def metrics_row_reference(entity_id, counts, weight, h_star=None) -> MetricsRow:
-    """The metric row built through the checked public helpers, one call
-    per column, as ``metrics_row`` first did."""
-    rate = v_rate(counts.citations_total, counts.self_citations)
+    """The metric row built through the checked public helpers ``v_rate``
+    and ``generalized_v_index``, one call per column, as ``metrics_row``
+    first did; C/P = C / CD and V/P = (C - SC) / CD are written out, after
+    the check that CD is positive."""
+    c, sc, cd = counts.citations_total, counts.self_citations, counts.citable_documents
+    rate = v_rate(c, sc)
     index = generalized_v_index(counts.h_index, rate, weight)
     ratio = index / counts.h_index if counts.h_index > 0 else 1.0
+    if cd <= 0:
+        raise DomainError("an entity needs at least one citable document")
     return MetricsRow(
         entity_id=entity_id,
         counts=counts,
         v_rate=rate,
-        c_p=citations_per_publication(counts.citations_total, counts.citable_documents),
-        v_p=adjusted_citations_per_publication(
-            counts.citations_total, counts.self_citations, counts.citable_documents
-        ),
+        c_p=c / cd,
+        v_p=(c - sc) / cd,
         v_index=index,
         ratio=ratio,
         h_star=h_star,

@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from vindex.analytics import batch_stats, export_citation_curves, pearson, round3
+from vindex.analytics import batch_stats, export_citation_curves, fmt3, pearson
 from vindex.graph import (
     aggregate_all,
     generate_synthetic_corpus,
@@ -26,8 +26,6 @@ from vindex.graph import (
 from vindex.metrics import (
     CitationCounts,
     WeightFunction,
-    adjusted_citations_per_publication,
-    citations_per_publication,
     metrics_row,
     v_index,
     v_rate,
@@ -52,7 +50,7 @@ def computed_row(record, weight=None):
 
 def display_matches(computed, record, columns):
     """True when every named column matches the printed 3-decimal value."""
-    return all(round3(getattr(computed, column)) == record[column] for column in columns)
+    return all(fmt3(getattr(computed, column)) == fmt3(record[column]) for column in columns)
 
 
 def test_author_table_reproduction(author_table):
@@ -61,7 +59,7 @@ def test_author_table_reproduction(author_table):
     for record in author_table:
         computed = computed_row(record)
         for column in DERIVED_COLUMNS:
-            if round3(getattr(computed, column)) != record[column]:
+            if fmt3(getattr(computed, column)) != fmt3(record[column]):
                 mismatches.append((record["entity_id"], column))
     elapsed = time.perf_counter() - started
     assert mismatches == []
@@ -96,8 +94,8 @@ def test_journal_table_reproduction(journal_table):
     # (printed 2.675, recomputed 2.825).
     bioinformatics = next(r for r in journal_table if r["entity_id"] == "Bioinformatics")
     recomputed = computed_row(bioinformatics)
-    assert round3(recomputed.v_p) == 2.825
-    assert round3(recomputed.c_p) == round3(6510 / 2104)
+    assert fmt3(recomputed.v_p) == "2.825"
+    assert fmt3(recomputed.c_p) == fmt3(6510 / 2104)
     erratum_adjusted_full = core_matches  # c_p/v_p expectations are the recomputed values
     assert erratum_adjusted_full >= 23
     print(
@@ -112,9 +110,9 @@ def test_country_table_reproduction(country_table):
     off_rows = []
     for record in country_table:
         computed = computed_row(record)
-        assert round3(computed.v_index) == record["v_index"], record["entity_id"]
-        assert round3(computed.ratio) == record["ratio"], record["entity_id"]
-        if round3(computed.v_rate) == record["v_rate"]:
+        assert fmt3(computed.v_index) == fmt3(record["v_index"]), record["entity_id"]
+        assert fmt3(computed.ratio) == fmt3(record["ratio"]), record["entity_id"]
+        if fmt3(computed.v_rate) == fmt3(record["v_rate"]):
             matches += 1
         else:
             off_rows.append(record["entity_id"])
@@ -124,8 +122,8 @@ def test_country_table_reproduction(country_table):
     # the printed rates for these two rows are transcription errata; the
     # recomputed values are pinned here
     by_id = {record["entity_id"]: record for record in country_table}
-    assert round3(computed_row(by_id["United States"]).v_rate) == 0.536
-    assert round3(computed_row(by_id["United Kingdom"]).v_rate) == 0.759
+    assert fmt3(computed_row(by_id["United States"]).v_rate) == "0.536"
+    assert fmt3(computed_row(by_id["United Kingdom"]).v_rate) == "0.759"
     print(
         "ACCEPTANCE PASS: country table: 23/25 rows reproduce v_rate and v_index at "
         "3 decimals; US and UK pinned to recomputed v_rate 0.536 and 0.759 "
@@ -140,8 +138,8 @@ def test_drop_and_rate_statistics(author_table):
     assert 0.07 <= drop_stats.median <= 0.11
     rates = [computed_row(record).v_rate for record in author_table]
     rate_stats = batch_stats(rates)
-    assert round3(rate_stats.min) == 0.642
-    assert round3(rate_stats.max) == 0.950
+    assert fmt3(rate_stats.min) == "0.642"
+    assert fmt3(rate_stats.max) == "0.950"
     print(
         f"ACCEPTANCE PASS: drop statistics: mean {drop_stats.mean:.4f} in [0.08, 0.12], "
         f"median {drop_stats.median:.4f} in [0.07, 0.11]; v_rate spans [0.642, 0.950]"
@@ -234,9 +232,9 @@ def test_metric_property_suite():
         if h > 0:
             assert math.isclose((index / h) ** 2, rate, rel_tol=1e-12, abs_tol=1e-12)
         cd = max(1, h) + rng.randint(0, 50)
-        c_p = citations_per_publication(c, cd)
-        v_p = adjusted_citations_per_publication(c, sc, cd)
-        assert math.isclose(v_p, c_p * rate, rel_tol=1e-12, abs_tol=1e-12)
+        row = metrics_row("e", CitationCounts(c, sc, cd, h))
+        assert row.v_rate == rate
+        assert math.isclose(row.v_p, row.c_p * rate, rel_tol=1e-12, abs_tol=1e-12)
         checked += 1
     assert checked == 100_000
 

@@ -1,6 +1,11 @@
-"""The export lists name only what exists, and deleted names stay deleted."""
+"""The export lists name only what exists, every exported name has a caller
+outside the tests, and deleted names stay deleted."""
 
 from __future__ import annotations
+
+import ast
+import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +13,8 @@ import vindex
 from vindex import analytics, cli, errors, graph, metrics
 
 SUBMODULES = (graph, metrics, analytics, cli)
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("module", (vindex, *SUBMODULES), ids=lambda module: module.__name__)
@@ -36,7 +43,6 @@ ERROR_CLASSES = [
     "DomainError",
     "CorpusParseError",
     "CorpusIntegrityError",
-    "UnknownEntityError",
 ]
 
 
@@ -54,6 +60,49 @@ def test_star_import_binds_every_exported_name():
         assert namespace[name] is getattr(vindex, name)
 
 
+# Exported names that no module outside the tests uses, each with the
+# reason it stays public.
+JUSTIFIED = {
+    "write_aggregate_csv": "writes the aggregate CSV format, the inverse of read_aggregate_csv, "
+    "so a corpus's aggregates can be fed back in with --kind aggregate",
+}
+
+
+def _identifiers_used(path: Path) -> set[str]:
+    """Every name a module reads, every attribute it reads, and every name
+    it imports. Assigned names are left out, so a definition does not count
+    as a use; an ``__all__`` entry is a string and never counts either."""
+    used: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rpartition(".")[2])
+    return used
+
+
+def _callers_outside_tests() -> set[str]:
+    # The package __init__ only re-exports, and bench/test_*.py are tests.
+    paths = [
+        path
+        for directory in ("src", "demos", "bench")
+        for path in sorted((REPO / directory).rglob("*.py"))
+        if not path.name.startswith("test_") and path != Path(vindex.__file__).resolve()
+    ]
+    assert len(paths) >= 10
+    return set().union(*map(_identifiers_used, paths))
+
+
+def test_every_exported_name_has_a_caller_outside_the_tests():
+    exported = {*vindex.__all__, *cli.__all__} - {"__version__"}
+    unused = exported - _callers_outside_tests()
+    assert sorted(unused - set(JUSTIFIED)) == []
+    # Every justification names a real export that still needs one.
+    assert set(JUSTIFIED) <= unused
+
+
 @pytest.mark.parametrize(
     "name",
     [
@@ -66,9 +115,19 @@ def test_star_import_binds_every_exported_name():
         "cmd_synth",
         "cmd_compare",
         "build_parser",
+        "citations_per_publication",
+        "adjusted_citations_per_publication",
+        "round3",
+        "UnknownEntityError",
     ],
 )
 def test_deleted_names_are_gone(name):
-    for module in (vindex, graph, cli):
+    for module in (vindex, metrics, analytics, graph, errors, cli):
         assert not hasattr(module, name), f"{module.__name__}.{name}"
-        assert name not in module.__all__
+        assert name not in getattr(module, "__all__", ())
+
+
+def test_deleted_members_are_gone():
+    for name in ("paper", "__len__", "__contains__"):
+        assert not hasattr(graph.Corpus, name), name
+    assert "mode" not in {field.name for field in dataclasses.fields(graph.EntityAggregate)}

@@ -16,7 +16,6 @@ from vindex.errors import (
     CorpusIntegrityError,
     CorpusParseError,
     DomainError,
-    UnknownEntityError,
     VindexError,
 )
 from vindex.graph import (
@@ -103,21 +102,21 @@ def test_ingest_two_line_stream():
     corpus = ingest_corpus(
         ['{"id": "p1", "authors": ["a"], "refs": []}', '{"id": "p2", "authors": ["b"], "refs": ["p1"]}']
     )
-    assert len(corpus) == 2
+    assert len(corpus.papers) == 2
     assert corpus.dangling_refs == 0
-    assert "p1" in corpus and "p2" in corpus
-    assert corpus.paper("p2").refs == ("p1",)
+    assert "p1" in corpus.papers and "p2" in corpus.papers
+    assert corpus.papers["p2"].refs == ("p1",)
 
 
 def test_ingest_accepts_path(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text(HANDMADE, encoding="utf-8")
-    assert len(ingest_corpus(path)) == 4
+    assert len(ingest_corpus(path).papers) == 4
 
 
 def test_ingest_accepts_bytes_and_file_objects():
-    assert len(ingest_corpus(HANDMADE.encode("utf-8"))) == 4
-    assert len(ingest_corpus(io.StringIO(HANDMADE))) == 4
+    assert len(ingest_corpus(HANDMADE.encode("utf-8")).papers) == 4
+    assert len(ingest_corpus(io.StringIO(HANDMADE)).papers) == 4
 
 
 def test_ingest_keeps_a_raw_u2028_inside_a_string(tmp_path):
@@ -130,8 +129,8 @@ def test_ingest_keeps_a_raw_u2028_inside_a_string(tmp_path):
     path.write_text(text, encoding="utf-8")
     corpora = read_every_source_kind(ingest_corpus, path, text.split("\n"))
     assert corpora == [corpora[0]] * 6
-    assert corpora[0].paper("q1").authors == ("Line\u2028Separator",)
-    assert corpora[0].paper("q2").authors == ("Next\u0085Line",)
+    assert corpora[0].papers["q1"].authors == ("Line\u2028Separator",)
+    assert corpora[0].papers["q2"].authors == ("Next\u0085Line",)
     assert audit_corpus(path).errors == []
     assert read_every_source_kind(audit_corpus, path, text.split("\n")) == [AuditReport()] * 6
 
@@ -144,7 +143,7 @@ def test_ingest_accepts_crlf_line_endings(tmp_path):
 
 def test_ingest_skips_blank_lines():
     text = '{"id": "p1", "authors": ["a"]}\n\n   \n{"id": "p2", "authors": ["b"]}\n'
-    assert len(ingest_corpus(text.splitlines())) == 2
+    assert len(ingest_corpus(text.splitlines()).papers) == 2
 
 
 def test_ingest_counts_dangling_refs():
@@ -153,7 +152,7 @@ def test_ingest_counts_dangling_refs():
     )
     assert corpus.dangling_refs == 1
     # the dangling ref stays on the paper for round-tripping
-    assert corpus.paper("p1").refs == ("ghost", "p2")
+    assert corpus.papers["p1"].refs == ("ghost", "p2")
 
 
 def test_ingest_strips_self_loops_and_warns():
@@ -165,8 +164,8 @@ def test_ingest_strips_self_loops_and_warns():
             '{"id": "p3", "authors": ["c"], "refs": ["p1"]}',
         ]
     )
-    assert corpus.paper("p1").refs == ()
-    assert corpus.paper("p2").refs == ("p1",)
+    assert corpus.papers["p1"].refs == ()
+    assert corpus.papers["p2"].refs == ("p1",)
     assert corpus.self_loops == 2
     assert ingest_corpus(['{"id": "p1", "authors": ["a"]}']).self_loops == 0
 
@@ -175,19 +174,19 @@ def test_ingest_strips_one_self_reference_among_duplicates():
     report = audit_corpus(['{"id": "p1", "authors": ["a"], "refs": ["p1", "p1"]}'])
     assert report.warnings == ["line 1: paper 'p1' cites itself (1 entry(ies) stripped)"]
     corpus = ingest_corpus(['{"id": "p1", "authors": ["a"], "refs": ["p1", "p1", "x", "p1"]}'])
-    assert corpus.paper("p1").refs == ("x",)
+    assert corpus.papers["p1"].refs == ("x",)
 
 
 def test_ingest_collapses_duplicate_refs():
     corpus = ingest_corpus(
         ['{"id": "p1", "authors": ["a"]}', '{"id": "p2", "authors": ["b"], "refs": ["p1", "p1"]}']
     )
-    assert corpus.paper("p2").refs == ("p1",)
+    assert corpus.papers["p2"].refs == ("p1",)
 
 
 def test_ingest_normalizes_empty_venue():
     corpus = ingest_corpus(['{"id": "p1", "authors": ["a"], "venue": ""}'])
-    assert corpus.paper("p1").venue is None
+    assert corpus.papers["p1"].venue is None
 
 
 @pytest.mark.parametrize(
@@ -245,14 +244,14 @@ def test_ingest_shares_each_ref_with_the_id_it_names(handmade):
             {"id": "p3", "authors": ["bob"], "refs": ["p1", "p2", "ghost"]},
         ).splitlines()
     )
-    assert forward.paper("p2").refs[1] is forward.paper("p3").refs[2]
+    assert forward.papers["p2"].refs[1] is forward.papers["p3"].refs[2]
     synthetic = ingest_corpus(synthetic_corpus_jsonl(5, 60, 9, 0.3).splitlines())
     for corpus in (forward, handmade, synthetic):
         for paper_id, paper in corpus.papers.items():
             assert paper_id is paper.id
             for ref in paper.refs:
-                if ref in corpus:
-                    assert ref is corpus.paper(ref).id
+                if ref in corpus.papers:
+                    assert ref is corpus.papers[ref].id
 
 
 def test_ingest_shares_an_author_and_a_venue_across_papers(handmade):
@@ -262,8 +261,8 @@ def test_ingest_shares_an_author_and_a_venue_across_papers(handmade):
         for name in paper.authors:
             assert authors.setdefault(name, name) is name
         assert venues.setdefault(paper.venue, paper.venue) is paper.venue
-    assert handmade.paper("p1").authors[0] is handmade.paper("p2").authors[0]
-    assert handmade.paper("p1").venue is handmade.paper("p3").venue
+    assert handmade.papers["p1"].authors[0] is handmade.papers["p2"].authors[0]
+    assert handmade.papers["p1"].venue is handmade.papers["p3"].venue
 
 
 def test_synthetic_refs_are_the_ids_of_their_papers():
@@ -271,7 +270,7 @@ def test_synthetic_refs_are_the_ids_of_their_papers():
     assert sum(len(paper.refs) for paper in corpus) > 300
     for paper in corpus:
         for ref in paper.refs:
-            assert ref is corpus.paper(ref).id
+            assert ref is corpus.papers[ref].id
 
 
 def test_a_shared_ref_costs_a_pointer_not_a_string():
@@ -416,7 +415,7 @@ def test_ingest_keeps_escaped_pairs_and_other_escapes():
         '"venue": "J\\uD83D\\uDE00"}'
     )
     corpus = ingest_corpus([line])
-    paper = corpus.paper("p\U0001f600")
+    paper = corpus.papers["p\U0001f600"]
     assert paper.authors == ("M\u00fcller", "\\ud800")
     assert paper.venue == "J\U0001f600"
     assert audit_corpus([line]).ok
@@ -605,11 +604,6 @@ def test_classify_missing_venue_is_genuine():
     assert received(corpus, "p1", "journal") == {(1, 0)}
 
 
-def test_classify_unknown_paper(handmade):
-    with pytest.raises(UnknownEntityError):
-        handmade.paper("p9")
-
-
 def test_classify_unknown_mode(handmade):
     with pytest.raises(DomainError):
         aggregate_all(handmade, "institution")
@@ -730,7 +724,7 @@ def test_synthetic_seeds_differ():
 
 def test_synthetic_single_paper():
     corpus = generate_synthetic_corpus(1, 1, 1, 0.0)
-    assert len(corpus) == 1
+    assert len(corpus.papers) == 1
     (paper,) = list(corpus)
     assert paper.refs == ()
     assert paper.authors == ("a001",)
@@ -738,7 +732,7 @@ def test_synthetic_single_paper():
 
 def test_synthetic_structure():
     corpus = generate_synthetic_corpus(9, 80, 12, 0.4)
-    assert len(corpus) == 80
+    assert len(corpus.papers) == 80
     assert corpus.dangling_refs == 0
     pool = {f"a{i:03d}" for i in range(1, 13)}
     for paper in corpus:
@@ -1171,7 +1165,7 @@ def test_readers_keep_the_encoding_of_a_text_stream(tmp_path):
     path = tmp_path / "latin.jsonl"
     path.write_bytes(b'{"id": "p1", "authors": ["Jos\xe9"]}\n')
     with open(path, encoding="latin-1") as handle:
-        assert ingest_corpus(handle).paper("p1").authors == ("José",)
+        assert ingest_corpus(handle).papers["p1"].authors == ("José",)
 
 
 def test_every_source_kind_reads_and_audits_alike(tmp_path):

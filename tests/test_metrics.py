@@ -12,8 +12,6 @@ from vindex.errors import DomainError
 from vindex.metrics import (
     CitationCounts,
     WeightFunction,
-    adjusted_citations_per_publication,
-    citations_per_publication,
     generalized_v_index,
     h_index,
     metrics_row,
@@ -259,22 +257,24 @@ def test_sqrt_weight_between_linear_and_concave():
 # per-publication averages and row assembly
 # ---------------------------------------------------------------------------
 
+def _row(c, sc, cd, h=0):
+    counts = CitationCounts(citations_total=c, self_citations=sc, citable_documents=cd, h_index=h)
+    return metrics_row("e", counts)
+
+
 def test_citations_per_publication():
-    assert citations_per_publication(8956, 784) == pytest.approx(8956 / 784, rel=1e-15)
-    assert citations_per_publication(0, 5) == 0.0
+    assert _row(8956, 650, 784).c_p == 8956 / 784
+    assert _row(0, 0, 5).c_p == 0.0
 
 
 def test_adjusted_citations_per_publication():
-    assert adjusted_citations_per_publication(8956, 650, 784) == pytest.approx(
-        8306 / 784, rel=1e-15
-    )
+    assert _row(8956, 650, 784).v_p == 8306 / 784
+    assert _row(10, 10, 5).v_p == 0.0
 
 
 def test_per_publication_requires_documents():
-    with pytest.raises(DomainError):
-        citations_per_publication(10, 0)
-    with pytest.raises(DomainError):
-        adjusted_citations_per_publication(10, 2, 0)
+    with pytest.raises(DomainError, match="at least one citable document"):
+        _row(10, 2, 0)
 
 
 @pytest.mark.parametrize(
