@@ -12,11 +12,13 @@ import csv
 import io
 import math
 from decimal import ROUND_HALF_UP, Context, Decimal, InvalidOperation
-from typing import Iterable, Literal, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Literal, NamedTuple, Sequence
 
 from .errors import DomainError
-from .graph import EntityAggregate
 from .metrics import MetricsRow
+
+if TYPE_CHECKING:
+    from .graph import EntityAggregate
 
 SortKey = Literal["v_index", "h_index", "cd"]
 TableFormat = Literal["csv", "markdown"]
@@ -315,12 +317,7 @@ class CitationCurves(NamedTuple):
 
     def to_csv(self) -> str:
         """CSV with header ``rank,g,f`` and one row per paper rank."""
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["rank", "g", "f"])
-        for position, (g_value, f_value) in enumerate(zip(self.g, self.f), start=1):
-            writer.writerow([position, g_value, f_value])
-        return out.getvalue()
+        return format_table(("rank", "g", "f"), zip(range(1, len(self.g) + 1), self.g, self.f))
 
 
 def export_citation_curves(aggregate: EntityAggregate) -> CitationCurves:
@@ -361,13 +358,14 @@ def _table_cells(ranked: RankedRow) -> list[str]:
 
 
 def format_table(
-    header: Sequence[str], rows: Iterable[Sequence[str]], format: TableFormat = "csv"
+    header: Sequence[str], rows: Iterable[Sequence[str | int]], format: TableFormat = "csv"
 ) -> str:
     """Write a header and rows of string cells as CSV or a Markdown pipe table.
 
-    CSV quotes as RFC 4180 needs and ends every line with a bare newline;
-    Markdown escapes pipes inside body cells and writes each line break in
-    a cell (CRLF, CR or LF) as ``<br>``, so every row stays on one line.
+    CSV also takes int cells, written as ``str`` writes them, quotes as RFC
+    4180 needs and ends every line with a bare newline; Markdown escapes
+    pipes inside body cells and writes each line break in a cell (CRLF, CR
+    or LF) as ``<br>``, so every row stays on one line.
     """
     if format == "csv":
         out = io.StringIO()

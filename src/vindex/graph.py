@@ -16,7 +16,8 @@ Each input format is read by one pass: ``_corpus_records`` for JSONL and
 the error that rejects it, with its line. Two policies read each pass: the
 strict readers (``ingest_corpus``, ``read_aggregate_csv``) raise the first
 error, and the audits (``audit_corpus``, ``audit_aggregate``) collect every
-one. A check and its message are therefore written once for both.
+one. A check and its message are therefore written once for both, and
+its place once, by ``_at`` in the policy.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Literal, NamedTuple
 
+from .analytics import format_table
 from .errors import (
     CorpusIntegrityError,
     CorpusParseError,
@@ -209,25 +211,29 @@ def _item_lines(items: Iterable[str | bytes]) -> Iterator[bytes]:
         yield from io.BytesIO(data).readlines() or [data]
 
 
-def _decode(raw: bytes, line: int, source: str | None) -> str:
+def _at(error: VindexError, line: int, source: str | None) -> VindexError:
+    """``error``, which holds a bare message, placed at ``line`` of
+    ``source``: the one place an input error gets its location."""
+    return type(error)(str(error), line=line, source=source)
+
+
+def _decode(raw: bytes) -> str:
     """One input line as text; it must be valid UTF-8."""
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise CorpusParseError(
-            f"invalid UTF-8 at byte {exc.start + 1} ({exc.reason})", line=line, source=source
-        ) from None
+        raise CorpusParseError(f"invalid UTF-8 at byte {exc.start + 1} ({exc.reason})") from None
 
 
 def _csv_lines(
-    lines: Iterable[bytes], source: str | None, bad: list[CorpusParseError], record: list[str]
+    lines: Iterable[bytes], bad: list[tuple[int, CorpusParseError]], record: list[str]
 ) -> Iterator[str]:
     """Text lines for ``csv.reader``, split where text mode with
     ``newline=""`` splits them: each byte line is split again at bare
-    carriage returns and decoded. An undecodable line goes into ``bad`` and
-    on to the reader with replacement characters, so the reader keeps its
-    place and the caller can reject the row it lands in. Each line is also
-    appended to ``record``, which ``_csv_rows`` empties at every row."""
+    carriage returns and decoded. An undecodable line goes into ``bad``
+    with its number and on to the reader with replacement characters, so
+    the reader keeps its place and the caller can reject the row it lands
+    in. Each line is also appended to ``record``, emptied at every row."""
     line_no = 0
     for chunk in lines:
         try:
@@ -243,21 +249,19 @@ def _csv_lines(
         for piece in chunk.splitlines(keepends=True):
             line_no += 1
             try:
-                text = _decode(piece, line_no, source)
+                text = _decode(piece)
             except CorpusParseError as exc:
-                bad.append(exc)
+                bad.append((line_no, exc))
                 text = piece.decode("utf-8", "replace")
             record.append(text)
             yield text
 
 
-def _string_list(value: object, what: str, line: int, source: str | None) -> list[str]:
+def _string_list(value: object, what: str) -> list[str]:
     # ``json.loads`` makes exact lists and strs, never subclasses, so
     # comparing exact types checks every item in C.
     if type(value) is not list or "" in value or not {str}.issuperset(map(type, value)):
-        raise CorpusParseError(
-            f"{what} must be a list of non-empty strings", line=line, source=source
-        )
+        raise CorpusParseError(f"{what} must be a list of non-empty strings")
     return value
 
 
@@ -267,17 +271,15 @@ _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
 
-def _refuse_lone_surrogates(paper: Paper, line: int, source: str | None) -> None:
+def _refuse_lone_surrogates(paper: Paper) -> None:
     # An escaped pair decodes to one character and passes.
     fields = (paper.id,), paper.authors, (paper.venue or "",), paper.refs
     for what, values in zip(("id", "authors", "venue", "refs"), fields):
         if _SURROGATE.search("".join(values)):
-            raise CorpusParseError(f"'{what}' holds a lone surrogate", line=line, source=source)
+            raise CorpusParseError(f"'{what}' holds a lone surrogate")
 
 
-def _paper_from_record(
-    record: object, line: int, source: str | None, names: dict[str, str]
-) -> tuple[Paper, int]:
+def _paper_from_record(record: object, names: dict[str, str]) -> tuple[Paper, int]:
     """Validate one decoded JSONL record; returns the paper and the number of
     self-referencing entries stripped from its refs.
 
@@ -286,27 +288,25 @@ def _paper_from_record(
     venue or ref, and a ref is the very object that is its paper's id."""
     share = names.setdefault
     if not isinstance(record, dict):
-        raise CorpusParseError("record must be a JSON object", line=line, source=source)
+        raise CorpusParseError("record must be a JSON object")
     paper_id = record.get("id")
     if not isinstance(paper_id, str) or not paper_id:
-        raise CorpusParseError("'id' must be a non-empty string", line=line, source=source)
+        raise CorpusParseError("'id' must be a non-empty string")
     paper_id = share(paper_id, paper_id)
     if "authors" not in record:
-        raise CorpusParseError(f"paper {paper_id!r} has no 'authors'", line=line, source=source)
-    authors = _string_list(record["authors"], "'authors'", line, source)
+        raise CorpusParseError(f"paper {paper_id!r} has no 'authors'")
+    authors = _string_list(record["authors"], "'authors'")
     if not authors:
-        raise CorpusParseError(
-            f"paper {paper_id!r} needs at least one author", line=line, source=source
-        )
+        raise CorpusParseError(f"paper {paper_id!r} needs at least one author")
     authors = tuple(map(share, authors, authors))
     venue = record.get("venue")
     if venue is not None and not isinstance(venue, str):
-        raise CorpusParseError("'venue' must be a string", line=line, source=source)
+        raise CorpusParseError("'venue' must be a string")
     venue = share(venue, venue) if venue else None
     year = record.get("year")
     if year is not None and (isinstance(year, bool) or not isinstance(year, int)):
-        raise CorpusParseError("'year' must be an integer", line=line, source=source)
-    refs = _string_list(record.get("refs", []), "'refs'", line, source)
+        raise CorpusParseError("'year' must be an integer")
+    refs = _string_list(record.get("refs", []), "'refs'")
     refs = dict.fromkeys(map(share, refs, refs))
     # Collapsing duplicates leaves at most one self-reference.
     self_loops = 0
@@ -318,28 +318,28 @@ def _paper_from_record(
 
 
 def _corpus_records(
-    lines: Iterable[bytes], source: str | None
+    lines: Iterable[bytes],
 ) -> Iterator[tuple[int, Paper | None, int, VindexError | None]]:
     """The one pass over JSONL lines, shared by ``ingest_corpus`` and
     ``audit_corpus``. For each non-blank line: its number, its paper, the
     number of self-references stripped from that paper, and the error that
-    rejects the line, or None. A line that does not parse has no paper; a
-    duplicate id keeps its paper, so its stripped self-references are still
-    reported. A byte-order mark opening line 1 is dropped, as the CSV pass
-    drops it from its header. Equal strings of the whole pass share one
-    object."""
+    rejects the line, bare for the policy to place, or None. A line that
+    does not parse has no paper; a duplicate id keeps its paper, so its
+    stripped self-references are still reported. A byte-order mark opening
+    line 1 is dropped, as the CSV pass drops it from its header. Equal
+    strings of the whole pass share one object."""
     seen: set[str] = set()
     names: dict[str, str] = {}
     for line_no, raw in enumerate(lines, start=1):
         try:
-            text = _decode(raw, line_no, source)
+            text = _decode(raw)
             if line_no == 1:
                 text = text.removeprefix("\ufeff")
             if not text.strip():
                 continue
-            paper, loops = _paper_from_record(json.loads(text), line_no, source, names)
+            paper, loops = _paper_from_record(json.loads(text), names)
             if _SURROGATE_ESCAPE.search(text):
-                _refuse_lone_surrogates(paper, line_no, source)
+                _refuse_lone_surrogates(paper)
         except CorpusParseError as exc:
             yield line_no, None, 0, exc
         except (ValueError, RecursionError) as exc:
@@ -348,14 +348,11 @@ def _corpus_records(
             reason = getattr(exc, "msg", None) or (
                 "nested too deeply" if isinstance(exc, RecursionError) else "integer too long"
             )
-            error = CorpusParseError(f"invalid JSON ({reason})", line=line_no, source=source)
-            yield line_no, None, 0, error
+            yield line_no, None, 0, CorpusParseError(f"invalid JSON ({reason})")
         else:
             error = None
             if paper.id in seen:
-                error = CorpusIntegrityError(
-                    f"duplicate paper id {paper.id!r}", line=line_no, source=source
-                )
+                error = CorpusIntegrityError(f"duplicate paper id {paper.id!r}")
             seen.add(paper.id)
             yield line_no, paper, loops, error
 
@@ -369,10 +366,11 @@ def ingest_corpus(source: str | Path | IO | bytes | Iterable[str]) -> Corpus:
     and an item of an iterable holding one is split there, as a file is.
     Blank lines are skipped. A malformed line, invalid UTF-8 (a raw lone
     surrogate in a ``str`` included) or an escaped lone surrogate aborts
-    with CorpusParseError carrying its line number; a duplicate id aborts
-    with CorpusIntegrityError. Self-references in ``refs`` are stripped and
-    counted as ``self_loops``, duplicate refs are collapsed, and refs
-    pointing outside the corpus are counted as dangling.
+    with CorpusParseError, a duplicate id with CorpusIntegrityError, each
+    placed at its line and, for a named source, its file name.
+    Self-references in ``refs`` are stripped and counted as ``self_loops``,
+    duplicate refs are collapsed, and refs pointing outside the corpus are
+    counted as dangling.
 
     Equal strings are shared: the corpus holds one object per distinct id,
     author, venue or ref, and a ref to a paper is that paper's id, which is
@@ -381,9 +379,9 @@ def ingest_corpus(source: str | Path | IO | bytes | Iterable[str]) -> Corpus:
     papers: dict[str, Paper] = {}
     self_loops = 0
     with _open_lines(source) as (lines, name):
-        for _, paper, loops, error in _corpus_records(lines, name):
+        for line, paper, loops, error in _corpus_records(lines):
             if error is not None:
-                raise error
+                raise _at(error, line, name)
             papers[paper.id] = paper
             self_loops += loops
     return Corpus(papers=papers, self_loops=self_loops)
@@ -542,10 +540,7 @@ def generate_synthetic_corpus(
             prefer_shared = rng.random() < self_cite_bias
             n_disjoint = index - len(taken)
             from_shared = bool(shared) if prefer_shared else not n_disjoint
-            size = len(shared) if from_shared else n_disjoint
-            if not size:
-                break
-            rank = rng.randrange(size)
+            rank = rng.randrange(len(shared) if from_shared else n_disjoint)
             if from_shared:
                 chosen.append(shared.pop(rank))
                 continue
@@ -593,29 +588,21 @@ def _count(text: str) -> int | None:
     return -value if text.startswith("-") else value
 
 
-def _row_from_fields(
-    fields: list[str], seen: set[str], line: int, source: str | None
-) -> tuple[str, CitationCounts]:
+def _row_from_fields(fields: list[str], seen: set[str]) -> tuple[str, CitationCounts]:
     """Validate one aggregate CSV row; ``seen`` holds the entities of the
     rows before it and gains this row's entity once its counts parse."""
     if len(fields) != len(AGGREGATE_CSV_COLUMNS):
-        raise CorpusParseError(
-            f"expected {len(AGGREGATE_CSV_COLUMNS)} fields, got {len(fields)}",
-            line=line,
-            source=source,
-        )
+        raise CorpusParseError(f"expected {len(AGGREGATE_CSV_COLUMNS)} fields, got {len(fields)}")
     entity_id, cd, c, sc, h = fields
     if not entity_id:
-        raise CorpusParseError("entity_id must be non-empty", line=line, source=source)
+        raise CorpusParseError("entity_id must be non-empty")
     counts = [_count(cd), _count(c), _count(sc), _count(h)]
     if None in counts:
-        raise CorpusParseError(
-            f"entity {entity_id!r}: counts must be integers", line=line, source=source
-        )
+        raise CorpusParseError(f"entity {entity_id!r}: counts must be integers")
     if max(map(abs, counts)) > _MAX_COUNT:
-        raise CorpusParseError(f"entity {entity_id!r}: count too large", line=line, source=source)
+        raise CorpusParseError(f"entity {entity_id!r}: count too large")
     if entity_id in seen:
-        raise CorpusIntegrityError(f"duplicate entity {entity_id!r}", line=line, source=source)
+        raise CorpusIntegrityError(f"duplicate entity {entity_id!r}")
     seen.add(entity_id)
     cd_count, c_count, sc_count, h_count = counts
     try:
@@ -624,7 +611,7 @@ def _row_from_fields(
         if cd_count == 0:
             raise DomainError("citable_documents must be >= 1, got 0")
     except DomainError as exc:
-        raise DomainError(f"entity {entity_id!r}: {exc}", line=line, source=source) from None
+        raise DomainError(f"entity {entity_id!r}: {exc}") from None
     return row
 
 
@@ -647,9 +634,7 @@ def _quote_left_open(text: str) -> bool:
             return False
 
 
-def _csv_rows(
-    reader, record: list[str], source: str | None
-) -> Iterator[list[str] | CorpusParseError]:
+def _csv_rows(reader, record: list[str]) -> Iterator[list[str] | CorpusParseError]:
     """The rows of ``reader``, and the error in place of a row it refuses.
     ``record`` gathers the lines the reader takes for one row. After an
     error the reader starts afresh on the next line, so when those lines
@@ -662,53 +647,52 @@ def _csv_rows(
         except StopIteration:
             return
         except csv.Error as exc:
-            yield CorpusParseError(str(exc), line=reader.line_num, source=source)
+            yield CorpusParseError(str(exc))
             if _quote_left_open("".join(record)):
                 return
 
 
 def _aggregate_rows(
-    lines: Iterable[bytes], source: str | None
-) -> Iterator[tuple[tuple[str, CitationCounts] | None, VindexError | None]]:
+    lines: Iterable[bytes],
+) -> Iterator[tuple[int, tuple[str, CitationCounts] | None, VindexError | None]]:
     """The one pass over aggregate CSV lines, shared by
-    ``read_aggregate_csv`` and ``audit_aggregate``: each data row as its
-    entity and counts, or None and the error that rejects it. A header
-    that is missing, undecodable or wrong ends the pass."""
-    bad: list[CorpusParseError] = []
+    ``read_aggregate_csv`` and ``audit_aggregate``: each data row's line,
+    then its entity and counts or None, then the bare error that rejects
+    it, which the policy places. A missing, undecodable or wrong header
+    ends the pass."""
+    bad: list[tuple[int, CorpusParseError]] = []
     record: list[str] = []
-    reader = csv.reader(_csv_lines(lines, source, bad, record))
-    rows = _csv_rows(reader, record, source)
+    reader = csv.reader(_csv_lines(lines, bad, record))
+    rows = _csv_rows(reader, record)
     header = next(rows, None)
     if header is None:
-        yield None, CorpusParseError("empty file, expected a header row", line=1, source=source)
+        yield 1, None, CorpusParseError("empty file, expected a header row")
         return
     if bad or isinstance(header, CorpusParseError):
-        yield from ((None, error) for error in bad or [header])
+        yield from ((line, None, error) for line, error in bad or [(reader.line_num, header)])
         return
     if header:
         header[0] = header[0].removeprefix("\ufeff")
     if tuple(header) != AGGREGATE_CSV_COLUMNS:
-        yield None, CorpusParseError(
+        yield 1, None, CorpusParseError(
             f"header must be exactly {','.join(AGGREGATE_CSV_COLUMNS)!r}, "
-            f"got {','.join(header)!r}",
-            line=1,
-            source=source,
+            f"got {','.join(header)!r}"
         )
         return
     seen: set[str] = set()
     for fields in rows:
         if bad:
-            yield from ((None, error) for error in bad)
+            yield from ((line, None, error) for line, error in bad)
             bad.clear()
         elif isinstance(fields, CorpusParseError):
-            yield None, fields
+            yield reader.line_num, None, fields
         elif fields:
             try:
-                row = _row_from_fields(fields, seen, reader.line_num, source)
+                row = _row_from_fields(fields, seen)
             except VindexError as exc:
-                yield None, exc
+                yield reader.line_num, None, exc
             else:
-                yield row, None
+                yield reader.line_num, row, None
 
 
 def read_aggregate_csv(
@@ -723,25 +707,21 @@ def read_aggregate_csv(
     exceeds 2**53, raises CorpusParseError. Rows violating the count
     invariants (negative values, sc > c, h > cd) or with cd = 0 raise
     DomainError naming the offending entity; duplicate entities raise
-    CorpusIntegrityError. Line numbers name the line on which a row ends.
+    CorpusIntegrityError, each placed at the line on which its row ends.
     """
     rows: list[tuple[str, CitationCounts]] = []
     with _open_lines(source) as (lines, name):
-        for row, error in _aggregate_rows(lines, name):
+        for line, row, error in _aggregate_rows(lines):
             if error is not None:
-                raise error
+                raise _at(error, line, name)
             rows.append(row)
     return rows
 
 
 def write_aggregate_csv(aggregates: Iterable[EntityAggregate]) -> str:
     """Serialize aggregates to the ``entity_id,cd,c,sc,h`` CSV format."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(AGGREGATE_CSV_COLUMNS)
-    for agg in aggregates:
-        writer.writerow([agg.entity_id, agg.cd, agg.c, agg.sc, agg.h])
-    return out.getvalue()
+    rows = ((agg.entity_id, agg.cd, agg.c, agg.sc, agg.h) for agg in aggregates)
+    return format_table(AGGREGATE_CSV_COLUMNS, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -774,12 +754,12 @@ def audit_corpus(
     report = AuditReport()
     papers: dict[str, Paper] = {}
     with _open_lines(source) as (lines, _):
-        for line_no, paper, loops, error in _corpus_records(lines, None):
+        for line, paper, loops, error in _corpus_records(lines):
             if loops:
                 stripped = f"paper {paper.id!r} cites itself ({loops} entry(ies) stripped)"
-                report.warnings.append(f"line {line_no}: {stripped}")
+                report.warnings.append(f"line {line}: {stripped}")
             if error is not None:
-                report.errors.append(str(error))
+                report.errors.append(str(_at(error, line, None)))
             else:
                 papers[paper.id] = paper
     dangling = Corpus(papers).dangling_refs
@@ -800,6 +780,5 @@ def audit_aggregate(source: str | Path | IO | bytes | Iterable[str]) -> AuditRep
     The audit policy over the CSV pass that ``read_aggregate_csv`` reads:
     it collects every error instead of raising the first."""
     with _open_lines(source) as (lines, _):
-        return AuditReport(
-            errors=[str(error) for _, error in _aggregate_rows(lines, None) if error is not None]
-        )
+        rows = _aggregate_rows(lines)
+        return AuditReport([str(_at(error, line, None)) for line, _, error in rows if error])

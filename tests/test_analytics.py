@@ -447,6 +447,20 @@ def test_pearson_p_value_stays_positive():
     assert result.p_value > 0.0
 
 
+def test_pearson_floors_an_underflowed_p_value():
+    # rho falls short of 1, so t is finite, but the tail probability
+    # underflows to 0 and is raised to the smallest positive double.
+    rng = random.Random(14)
+    x = [float(i) for i in range(3000)]
+    y = [value + rng.uniform(-1e-3, 1e-3) for value in x]
+    result = pearson(x, y)
+    assert result.rho < 1.0
+    dof = len(x) - 2
+    t_squared = result.rho**2 * dof / (1.0 - result.rho**2)
+    assert _betainc(dof / 2.0, 0.5, dof / (dof + t_squared)) == 0.0
+    assert result.p_value == math.nextafter(0.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # batch statistics
 # ---------------------------------------------------------------------------

@@ -1122,6 +1122,43 @@ def test_aggregate_csv_audit_stops_after_an_oversized_field_only_inside_open_quo
     assert str(excinfo.value) == errors[0]
 
 
+_PAPER = '{"id": "a", "authors": ["x"]}\n'
+
+
+@pytest.mark.parametrize(
+    "name, data, kind, line",
+    [
+        ("bad.jsonl", _PAPER.encode() + b'{"id": "\xff"}\n', CorpusParseError, 2),
+        ("dup.jsonl", (_PAPER * 2).encode(), CorpusIntegrityError, 2),
+        ("lone.jsonl", (_PAPER + '{"id": "\\udc00", "authors": ["y"]}\n').encode(),
+         CorpusParseError, 2),
+        ("json.jsonl", (_PAPER + "\n{oops\n").encode(), CorpusParseError, 3),
+        ("empty.csv", b"", CorpusParseError, 1),
+        ("head.csv", "\ufeffentity,cd,c,sc,h\n".encode(), CorpusParseError, 1),
+        ("wide.csv", b"e" * 131073 + b",cd\n", CorpusParseError, 1),
+        ("utf8.csv", f"{CSV_HEADER}\na,1,1,0,1\n".encode() + b"b\xff,1,1,0,1\n",
+         CorpusParseError, 3),
+        ("cd0.csv", f"{CSV_HEADER}\na,0,1,0,0\n".encode(), DomainError, 2),
+        ("dup.csv", f"{CSV_HEADER}\na,1,1,0,1\n\na,1,1,0,1\n".encode(), CorpusIntegrityError, 4),
+    ],
+)
+def test_strict_error_is_the_first_audit_error_placed_in_its_file(tmp_path, name, data, kind, line):
+    path = tmp_path / name
+    path.write_bytes(data)
+    jsonl = name.endswith(".jsonl")
+    read = ingest_corpus if jsonl else read_aggregate_csv
+    audit = audit_corpus if jsonl else audit_aggregate
+    first = audit(path).errors[0]
+    assert first.startswith(f"line {line}: ")
+    with pytest.raises(kind) as excinfo:
+        read(path)
+    assert (excinfo.value.line, excinfo.value.source) == (line, name)
+    assert str(excinfo.value) == f"{name}, {first}"
+    with pytest.raises(kind) as excinfo:
+        read(data)
+    assert (excinfo.value.line, excinfo.value.source, str(excinfo.value)) == (line, None, first)
+
+
 def test_open_quote_scan_agrees_with_the_csv_module():
     rng = random.Random(2029)
     pieces = ['"', '"', '""', ",", "a", "\n", "\r\n"]

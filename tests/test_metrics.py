@@ -216,6 +216,15 @@ def test_power_weights_need_integer_exponent_at_least_two(exponent):
         WeightFunction.convex(exponent)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [(("cube",), "unknown weight kind 'cube'"), (("sqrt", 2), "'sqrt' takes no exponent")],
+)
+def test_weight_rejects_unknown_kind_and_stray_exponent(args, message):
+    with pytest.raises(DomainError, match=message):
+        WeightFunction(*args)
+
+
 @pytest.mark.parametrize("x", [-0.1, 1.1, float("nan"), float("inf")])
 def test_weight_rejects_out_of_range_argument(x):
     with pytest.raises(DomainError):
@@ -241,6 +250,11 @@ def test_generalized_rejects_rate_outside_unit_interval():
         generalized_v_index(5, 1.2, WeightFunction.sqrt())
     with pytest.raises(DomainError):
         generalized_v_index(5, -0.2, WeightFunction.sqrt())
+
+
+def test_generalized_rejects_negative_h():
+    with pytest.raises(DomainError, match="h must be >= 0, got -1"):
+        generalized_v_index(-1, 0.5, WeightFunction.sqrt())
 
 
 def test_sqrt_weight_between_linear_and_concave():
