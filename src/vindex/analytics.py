@@ -110,7 +110,6 @@ class RankedTable(NamedTuple):
     """Rows ordered by one criterion, carrying positions under all three."""
 
     rows: tuple[RankedRow, ...]
-    sort_key: SortKey
 
 
 _SORT_KEYS = ("v_index", "h_index", "cd")
@@ -148,7 +147,7 @@ def rank(rows: Sequence[MetricsRow], key: SortKey = "v_index") -> RankedTable:
     ranked = tuple(
         [RankedRow(rows[index], pos_cd[index], pos_h[index], pos_v[index]) for index in order]
     )
-    return RankedTable(ranked, key)
+    return RankedTable(ranked)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +156,6 @@ def rank(rows: Sequence[MetricsRow], key: SortKey = "v_index") -> RankedTable:
 
 class CorrelationResult(NamedTuple):
     rho: float
-    n: int
     p_value: float
 
 
@@ -196,7 +194,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
         if p_value <= 0.0:
             p_value = math.nextafter(0.0, 1.0)
         p_value = min(p_value, 1.0)
-    return CorrelationResult(rho=rho, n=n, p_value=p_value)
+    return CorrelationResult(rho, p_value)
 
 
 _TINY = 1e-300

@@ -108,7 +108,7 @@ def _validate(args: argparse.Namespace) -> int:
 def _synth(args: argparse.Namespace) -> int:
     corpus = graph.generate_synthetic_corpus(args.seed, args.papers, args.authors, args.bias)
     _emit(graph.serialize_corpus(corpus), args.output)
-    fraction = graph.self_citation_fraction(corpus, "author")
+    fraction = graph.self_citation_fraction(corpus)
     print(f"self-citation fraction (author mode): {fraction:.3f}", file=sys.stderr)
     return EXIT_OK
 

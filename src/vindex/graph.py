@@ -28,7 +28,9 @@ import io
 import json
 import random
 import re
+import sys
 from bisect import insort
+from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -147,12 +149,7 @@ class EntityAggregate:
 
     def counts(self) -> CitationCounts:
         """View as plain aggregate counts, dropping the per-paper detail."""
-        return CitationCounts(
-            citations_total=self.c,
-            self_citations=self.sc,
-            citable_documents=self.cd,
-            h_index=self.h,
-        )
+        return CitationCounts(self.c, self.sc, self.cd, self.h)
 
 
 # ---------------------------------------------------------------------------
@@ -477,10 +474,10 @@ def aggregate_all(corpus: Corpus, mode: Mode) -> list[EntityAggregate]:
     return aggregates
 
 
-def self_citation_fraction(corpus: Corpus, mode: Mode = "author") -> float:
-    """Share of in-corpus citation edges classified self; 0.0 for no edges."""
-    _check_mode(mode)
-    records = _received_counts(corpus, mode).values()
+def self_citation_fraction(corpus: Corpus) -> float:
+    """Share of in-corpus citation edges classified self in author mode;
+    0.0 for no edges."""
+    records = _received_counts(corpus, "author").values()
     total = sum(record.citations_received for record in records)
     if total == 0:
         return 0.0
@@ -514,22 +511,30 @@ def generate_synthetic_corpus(
     Each paper costs O(H log H) for a team history of H earlier papers,
     whatever its index: a disjoint target is drawn by its rank among the
     earlier papers that are neither shared nor already drawn, found by
-    walking the sorted list of the excluded ones.
+    walking the sorted list of the excluded ones. The cost does not depend
+    on ``n_authors``: a team is drawn as numbers from the pool's range, and
+    only the authors drawn get a name, one object each, and a history.
     """
     if n_papers < 1:
         raise DomainError(f"n_papers must be >= 1, got {n_papers}")
     if n_authors < 1:
         raise DomainError(f"n_authors must be >= 1, got {n_authors}")
+    if n_authors > sys.maxsize:  # ``sample`` takes the pool's length
+        raise DomainError(f"n_authors must be <= {sys.maxsize}, got {n_authors}")
     if not 0.0 <= self_cite_bias <= 1.0:
         raise DomainError(f"self_cite_bias must lie in [0, 1], got {self_cite_bias!r}")
     rng = random.Random(seed)
-    author_pool = [f"a{i:03d}" for i in range(1, n_authors + 1)]
+    # ``sample`` picks by index alone, as from a list of the pool's names.
+    pool = range(1, n_authors + 1)
     ids = [f"p{i:04d}" for i in range(1, n_papers + 1)]
-    by_author: dict[str, list[int]] = {name: [] for name in author_pool}
+    names: dict[int, str] = {}
+    by_author: defaultdict[str, list[int]] = defaultdict(list)
     papers: dict[str, Paper] = {}
     for index in range(n_papers):
         team_size = rng.randint(1, min(4, n_authors))
-        authors = tuple(rng.sample(author_pool, team_size))
+        drawn = rng.sample(pool, team_size)
+        # A name is written on its author's first draw only.
+        authors = tuple([names.get(i) or names.setdefault(i, f"a{i:03d}") for i in drawn])
         shared = sorted({j for name in authors for j in by_author[name]})
         # The disjoint pool is range(index) minus ``taken``: the papers
         # shared at the start of this paper, plus disjoint targets drawn.
@@ -616,9 +621,9 @@ def _row_from_fields(fields: list[str], seen: set[str]) -> tuple[str, CitationCo
 
 
 # One field of the csv module's default dialect: a quote opens a quoted
-# field only as its first character, ``""`` inside one is a quote, and
-# after the closing quote the field runs on unquoted. Group 1 is empty
-# when the quoted field is still open at the end of the text.
+# field only as its first character, ``""`` inside one is a quote, and any
+# text after the closing quote (an error when strict) cannot reopen it.
+# Group 1 is empty when the quoted field is still open at the end of the text.
 _CSV_FIELD = re.compile(r'"[^"]*(?:""[^"]*)*("?)[^,\r\n]*|[^,\r\n]*')
 
 
@@ -662,7 +667,7 @@ def _aggregate_rows(
     ends the pass."""
     bad: list[tuple[int, CorpusParseError]] = []
     record: list[str] = []
-    reader = csv.reader(_csv_lines(lines, bad, record))
+    reader = csv.reader(_csv_lines(lines, bad, record), strict=True)
     rows = _csv_rows(reader, record)
     header = next(rows, None)
     if header is None:
@@ -702,9 +707,10 @@ def read_aggregate_csv(
     CSV pass, raising its first error.
 
     The header must be exactly ``entity_id,cd,c,sc,h`` and quoting follows
-    RFC 4180. A field over ``csv.field_size_limit()``, or a count that is
-    not ASCII digits (with an optional leading minus) or whose magnitude
-    exceeds 2**53, raises CorpusParseError. Rows violating the count
+    RFC 4180: a closing quote is followed by a comma or a line end, and the
+    file ends outside quotes. A field over ``csv.field_size_limit()``, or a
+    count that is not ASCII digits (with an optional leading minus) or whose
+    magnitude exceeds 2**53, raises CorpusParseError. Rows violating the count
     invariants (negative values, sc > c, h > cd) or with cd = 0 raise
     DomainError naming the offending entity; duplicate entities raise
     CorpusIntegrityError, each placed at the line on which its row ends.

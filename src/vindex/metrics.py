@@ -80,10 +80,9 @@ class CitationCounts:
             )
 
 
-# Each named kind is its own spec and maps to its f; a power kind's spec is
-# its form here with the exponent filled in.
+# Each named kind is its own spec and maps to its f.
 _NAMED_WEIGHTS = {"sqrt": math.sqrt, "unity": lambda x: 1.0, "linear": float}
-_POWER_SPECS = {"power_concave": "x^(1/{})", "power_convex": "x^{}"}
+_POWER_KINDS = ("power_concave", "power_convex")
 _POWER_PATTERN = re.compile(r"x\^(?:([0-9]+)|\(1/([0-9]+)\))")
 # Exponents below this convert to float, so 1/N and x**N are floats; the
 # 308 digits ``parse`` reads always stay below it.
@@ -106,7 +105,7 @@ class WeightFunction:
     exponent: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind in _POWER_SPECS:
+        if self.kind in _POWER_KINDS:
             exp = self.exponent
             if isinstance(exp, bool) or not isinstance(exp, int) or not 2 <= exp < _MAX_EXPONENT:
                 raise DomainError("power weights need an integer exponent >= 2 and < 10**308")
@@ -163,11 +162,6 @@ class WeightFunction:
         if n < 2:
             raise DomainError(f"weight spec {spec!r}: exponent must be >= 2 (use 'linear' for 1)")
         return cls("power_convex" if convex else "power_concave", n)
-
-    @property
-    def spec(self) -> str:
-        """The canonical spec string, the inverse of :meth:`parse`."""
-        return _POWER_SPECS.get(self.kind, self.kind).format(self.exponent)
 
     def __call__(self, x: float) -> float:
         if not 0.0 <= x <= 1.0:

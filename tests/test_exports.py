@@ -1,10 +1,12 @@
-"""The export lists name only what exists, every exported name has a caller
-outside the tests, and deleted names stay deleted."""
+"""The export lists name only what exists, every exported name and every
+member of an exported class has a reader outside the tests, and deleted names
+and members stay deleted."""
 
 from __future__ import annotations
 
 import ast
 import dataclasses
+import inspect
 from pathlib import Path
 
 import pytest
@@ -91,7 +93,7 @@ def _identifiers_used(path: Path) -> set[str]:
     return used
 
 
-def _callers_outside_tests() -> set[str]:
+def _paths_outside_tests() -> list[Path]:
     # The package __init__ only re-exports, and bench/test_*.py are tests.
     paths = [
         path
@@ -100,7 +102,11 @@ def _callers_outside_tests() -> set[str]:
         if not path.name.startswith("test_") and path != Path(vindex.__file__).resolve()
     ]
     assert len(paths) >= 10
-    return set().union(*map(_identifiers_used, paths))
+    return paths
+
+
+def _callers_outside_tests() -> set[str]:
+    return set().union(*map(_identifiers_used, _paths_outside_tests()))
 
 
 def test_every_exported_name_has_a_caller_outside_the_tests():
@@ -109,6 +115,47 @@ def test_every_exported_name_has_a_caller_outside_the_tests():
     assert sorted(unused - set(JUSTIFIED)) == []
     # Every justification names a real export that still needs one.
     assert set(JUSTIFIED) <= unused
+
+
+# Members of exported classes that no module outside the tests reads as an
+# attribute, each with the reason it stays.
+JUSTIFIED_MEMBERS = {
+    "BatchStats.std_dev": "bench/checker.py reads every BatchStats field by name through getattr",
+}
+
+
+def _attributes_read(path: Path) -> set[str]:
+    """Every attribute name a module reads, off any object: a member counts
+    as read wherever an attribute of its name is."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _public_members(cls: type) -> set[str]:
+    """The fields, properties and methods a class declares itself, leaving
+    out private and dunder names."""
+    names = set(vars(cls))
+    if dataclasses.is_dataclass(cls):
+        names.update(field.name for field in dataclasses.fields(cls))
+    names.update(getattr(cls, "_fields", ()))
+    return {name for name in names if not name.startswith("_")}
+
+
+def test_every_exported_member_is_read_outside_the_tests():
+    exported = [getattr(vindex, name) for name in vindex.__all__]
+    classes = [value for value in exported if isinstance(value, type)]
+    assert len(classes) >= 10
+    read = set().union(*map(_attributes_read, _paths_outside_tests()))
+    unread = {
+        f"{cls.__name__}.{name}" for cls in classes for name in _public_members(cls) - read
+    }
+    assert sorted(unread - set(JUSTIFIED_MEMBERS)) == []
+    # Every justification names a real member that still needs one.
+    assert set(JUSTIFIED_MEMBERS) <= unread
 
 
 @pytest.mark.parametrize(
@@ -139,3 +186,7 @@ def test_deleted_members_are_gone():
     for name in ("paper", "__len__", "__contains__"):
         assert not hasattr(graph.Corpus, name), name
     assert "mode" not in {field.name for field in dataclasses.fields(graph.EntityAggregate)}
+    assert not hasattr(metrics.WeightFunction, "spec")
+    assert analytics.RankedTable._fields == ("rows",)
+    assert analytics.CorrelationResult._fields == ("rho", "p_value")
+    assert list(inspect.signature(graph.self_citation_fraction).parameters) == ["corpus"]

@@ -8,10 +8,12 @@ import hashlib
 import io
 import json
 import random
+import sys
 import tracemalloc
 
 import pytest
 
+from vindex.cli import main
 from vindex.errors import (
     CorpusIntegrityError,
     CorpusParseError,
@@ -695,14 +697,13 @@ def test_dangling_refs_do_not_enter_tallies():
 
 
 def test_self_citation_fraction(handmade):
-    # 5 edges, 3 self in author mode; 4 received by J1+J2 with 1 self
-    assert self_citation_fraction(handmade, "author") == pytest.approx(3 / 5)
-    assert self_citation_fraction(handmade, "journal") == pytest.approx(1 / 5)
+    # 5 edges, 3 self in author mode
+    assert self_citation_fraction(handmade) == pytest.approx(3 / 5)
 
 
 def test_self_citation_fraction_no_edges():
     corpus = ingest_corpus(['{"id": "p1", "authors": ["a"]}'])
-    assert self_citation_fraction(corpus, "author") == 0.0
+    assert self_citation_fraction(corpus) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -765,6 +766,26 @@ def test_synthetic_matches_the_reference_generator_byte_for_byte():
                     assert got == synthetic_corpus_jsonl(*case), case
 
 
+def test_synthetic_matches_the_reference_generator_for_large_pools():
+    # ``sample`` picks by index and switches method above 21 names, so the
+    # pool sizes straddle that and reach far past the papers drawn.
+    for seed in range(4):
+        for n_authors in (20, 21, 22, 23, 100, 1000, 5000):
+            case = (seed, 60, n_authors, 0.4)
+            got = serialize_corpus(generate_synthetic_corpus(*case))
+            assert got == synthetic_corpus_jsonl(*case), case
+
+
+def test_synthetic_cost_does_not_follow_the_author_pool():
+    corpus = generate_synthetic_corpus(1, 50, 10**12, 0.3)
+    names = {}
+    for paper in corpus:
+        for name in paper.authors:
+            assert names.setdefault(name, name) is name
+    assert len(corpus.papers) == 50
+    assert len(names) > 1
+
+
 @pytest.mark.parametrize("case", [(3, 2500, 400, 0.3), (1, 200, 40, 0.2)])
 def test_synthetic_matches_the_reference_generator_at_bench_shapes(case):
     assert serialize_corpus(generate_synthetic_corpus(*case)) == synthetic_corpus_jsonl(*case)
@@ -791,6 +812,7 @@ def test_synthetic_bytes_are_pinned(case):
     [
         dict(seed=1, n_papers=0, n_authors=5, self_cite_bias=0.0),
         dict(seed=1, n_papers=5, n_authors=0, self_cite_bias=0.0),
+        dict(seed=1, n_papers=5, n_authors=sys.maxsize + 1, self_cite_bias=0.0),
         dict(seed=1, n_papers=5, n_authors=5, self_cite_bias=-0.1),
         dict(seed=1, n_papers=5, n_authors=5, self_cite_bias=1.5),
     ],
@@ -861,9 +883,8 @@ def test_aggregation_matches_the_oracles_on_messy_corpora(mode):
             for agg in aggregate_all(corpus, mode)
         }
         assert actual == oracle[mode](text), seed
-        assert self_citation_fraction(corpus, mode) == self_citation_fraction_from_jsonl(
-            text, mode
-        ), seed
+        if mode == "author":
+            assert self_citation_fraction(corpus) == self_citation_fraction_from_jsonl(text), seed
         assert corpus.missing_venue_edges == missing_venue_edges_from_jsonl(text), seed
 
 
@@ -1098,19 +1119,21 @@ def test_aggregate_csv_audit_reads_on_after_an_oversized_field():
             ],
             id="quote-closed-on-its-line",
         ),
-        *(
-            pytest.param(
-                [CSV_HEADER, field + ",1,1,0,1", "bad,1"],
-                [
-                    "line 2: field larger than field limit (131072)",
-                    "line 3: expected 5 fields, got 2",
-                ],
-                id=case,
-            )
-            for case, field in (
-                ("literal-quote-in-unquoted-field", 'x"' + "q" * 131073),
-                ("literal-quote-after-a-closed-one", '"a"' + "q" * 131073 + '"'),
-            )
+        pytest.param(
+            [CSV_HEADER, 'x"' + "q" * 131073 + ",1,1,0,1", "bad,1"],
+            [
+                "line 2: field larger than field limit (131072)",
+                "line 3: expected 5 fields, got 2",
+            ],
+            id="literal-quote-in-unquoted-field",
+        ),
+        pytest.param(
+            [CSV_HEADER, '"a"' + "q" * 131073 + '",1,1,0,1', "bad,1"],
+            [
+                "line 2: ',' expected after '\"'",
+                "line 3: expected 5 fields, got 2",
+            ],
+            id="literal-quote-after-a-closed-one",
         ),
     ],
 )
@@ -1120,6 +1143,41 @@ def test_aggregate_csv_audit_stops_after_an_oversized_field_only_inside_open_quo
     with pytest.raises(CorpusParseError) as excinfo:
         read_aggregate_csv(lines)
     assert str(excinfo.value) == errors[0]
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        pytest.param(
+            f'{CSV_HEADER}\n"B"x,3,10,2,2\nok,1,1,0,1\n',
+            "line 2: ',' expected after '\"'",
+            id="text-after-closing-quote",
+        ),
+        pytest.param(
+            '"entity_id"x,cd,c,sc,h\nok,1,1,0,1\n',
+            "line 1: ',' expected after '\"'",
+            id="header-text-after-closing-quote",
+        ),
+        pytest.param(
+            f'{CSV_HEADER}\nok,1,1,0,1\n"B,3,10,2,2\n',
+            "line 3: unexpected end of data",
+            id="quote-open-at-end-of-file",
+        ),
+    ],
+)
+def test_aggregate_csv_follows_rfc_4180_after_a_quote(tmp_path, capsys, text, error):
+    # Nothing may follow a closing quote but a comma or a line end, and a
+    # quoted field must close before the file ends.
+    path = tmp_path / "stats.csv"
+    path.write_text(text, encoding="utf-8")
+    assert audit_aggregate(path).errors == [error]
+    with pytest.raises(CorpusParseError) as excinfo:
+        read_aggregate_csv(path)
+    assert str(excinfo.value) == f"stats.csv, {error}"
+    assert main(["validate", "--input", str(path), "--kind", "aggregate"]) == 2
+    assert capsys.readouterr().out.startswith(f"error: {error}\n")
+    assert main(["metrics", "--input", str(path), "--kind", "aggregate"]) == 2
+    assert capsys.readouterr().err == f"error: stats.csv, {error}\n"
 
 
 _PAPER = '{"id": "a", "authors": ["x"]}\n'

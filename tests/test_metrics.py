@@ -197,17 +197,6 @@ def test_weight_parse_takes_an_exponent_of_308_digits():
     assert WeightFunction.concave(n)(0.5) == 1.0
 
 
-def test_each_named_weight_kind_is_its_own_spec():
-    for weight in (WeightFunction.sqrt(), WeightFunction.unity(), WeightFunction.linear()):
-        assert weight.kind == weight.spec
-
-
-def test_weight_spec_round_trips():
-    for spec in ("sqrt", "unity", "linear", "x^4", "x^(1/7)"):
-        assert WeightFunction.parse(spec).spec == spec
-        assert WeightFunction.parse(WeightFunction.parse(spec).spec) == WeightFunction.parse(spec)
-
-
 @pytest.mark.parametrize("exponent", [1, 0, -3, 2.0, True, 10**308])
 def test_power_weights_need_integer_exponent_at_least_two(exponent):
     with pytest.raises(DomainError):
