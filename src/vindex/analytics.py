@@ -361,16 +361,24 @@ def format_table(
     """Write a header and rows of string cells as CSV or a Markdown pipe table.
 
     CSV also takes int cells, written as ``str`` writes them, quotes as RFC
-    4180 needs and ends every line with a bare newline; Markdown escapes
-    pipes inside body cells and writes each line break in a cell (CRLF, CR
-    or LF) as ``<br>``, so every row stays on one line.
+    4180 needs, a cell holding a CR or LF included, and ends every line with
+    a bare newline; Markdown escapes pipes inside body cells and writes each
+    line break in a cell (CRLF, CR or LF) as ``<br>``, so every row stays on
+    one line.
     """
     if format == "csv":
+        # Before Python 3.13 the writer quotes a cell holding a bare CR only
+        # when the line terminator holds one, so rows are written ending in
+        # CRLF. Every other CR or LF is then inside quotes, so the CRLFs in
+        # the even parts of a split at '"' are the row ends, cut to LF; the
+        # bytes are 3.13's on every version.
         out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
+        writer = csv.writer(out, lineterminator="\r\n")
         writer.writerow(header)
         writer.writerows(rows)
-        return out.getvalue()
+        parts = out.getvalue().split('"')
+        parts[::2] = [part.replace("\r\n", "\n") for part in parts[::2]]
+        return '"'.join(parts)
     if format == "markdown":
         lines = [
             "| " + " | ".join(header) + " |",

@@ -6,20 +6,9 @@ from __future__ import annotations
 class VindexError(Exception):
     """Base class for every error this package raises on bad input.
 
-    An error about one place in an input carries it as ``line`` and
-    ``source`` and writes it before the message: ``[source, ]line N: ``.
+    An error about one place in an input writes it in the message only,
+    before the rest: ``[source, ]line N: ``.
     """
-
-    def __init__(self, message: str, *, line: int | None = None, source: str | None = None):
-        self.line = line
-        self.source = source
-        parts = []
-        if source:
-            parts.append(source)
-        if line is not None:
-            parts.append(f"line {line}")
-        prefix = ", ".join(parts)
-        super().__init__(f"{prefix}: {message}" if prefix else message)
 
 
 class DomainError(VindexError, ValueError):
@@ -27,7 +16,7 @@ class DomainError(VindexError, ValueError):
 
 
 class CorpusParseError(VindexError, ValueError):
-    """A corpus or aggregate stream could not be parsed."""
+    """A corpus or aggregate file could not be parsed."""
 
 
 class CorpusIntegrityError(VindexError, ValueError):

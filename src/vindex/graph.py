@@ -1,7 +1,7 @@
 """Citation corpora: ingestion, edge classification, and per-entity aggregation.
 
 A corpus is a closed world. Only citations between papers present in the
-stream are counted; references to unknown ids are tallied as dangling and
+file are counted; references to unknown ids are tallied as dangling and
 otherwise ignored, so a corpus survives a round trip through its own
 serialization unchanged.
 
@@ -11,30 +11,28 @@ contributes its counts to every one of its authors. In journal mode the
 entity is the venue string and an edge is a self-citation when both papers
 appeared in the same venue.
 
-Each input format is read by one pass: ``_corpus_records`` for JSONL and
-``_aggregate_rows`` for the aggregate CSV. A pass yields every record, or
-the error that rejects it, with its line. Two policies read each pass: the
-strict readers (``ingest_corpus``, ``read_aggregate_csv``) raise the first
-error, and the audits (``audit_corpus``, ``audit_aggregate``) collect every
-one. A check and its message are therefore written once for both, and
-its place once, by ``_at`` in the policy.
+Each input format is read from a file, given by its path, in one pass:
+``_corpus_records`` for JSONL and ``_aggregate_rows`` for the aggregate CSV.
+A pass yields every record, or the error that rejects it, with its line.
+Two policies read each pass: the strict readers (``ingest_corpus``,
+``read_aggregate_csv``) raise the first error, and the audits
+(``audit_corpus``, ``audit_aggregate``) collect every one. A check and its
+message are therefore written once for both, and its place once, by ``_at``
+in the policy.
 """
 
 from __future__ import annotations
 
-import codecs
 import csv
-import io
 import json
 import random
 import re
 import sys
 from bisect import insort
 from collections import defaultdict
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Literal, NamedTuple
+from typing import Iterable, Iterator, Literal, NamedTuple
 
 from .analytics import format_table
 from .errors import (
@@ -156,62 +154,12 @@ class EntityAggregate:
 # parsing and serialization
 # ---------------------------------------------------------------------------
 
-@contextmanager
-def _open_lines(
-    source: str | Path | IO | bytes | Iterable[str],
-) -> Iterator[tuple[Iterable[bytes], str | None]]:
-    """Open any reasonable source as UTF-8 byte lines, plus a name for
-    messages.
-
-    Paths are streamed. Paths, bytes, binary files and UTF-8 text files
-    (read through their binary buffer) give their bytes split only at line
-    feeds. Other text, such as an ``io.StringIO``, is encoded to UTF-8 and
-    split the same way. Each item of an iterable is encoded and split at its
-    own line feeds, as the same bytes in a file would be, and its end also
-    ends a line. Text is encoded with ``surrogatepass``, so a raw lone
-    surrogate becomes a byte sequence that ``_decode`` refuses with its
-    line. Unicode line breaks such as U+2028 never split a line.
-    """
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        with open(path, "rb") as handle:
-            yield handle, path.name
-        return
-    if isinstance(source, bytes):
-        yield io.BytesIO(source), None
-        return
-    if hasattr(source, "read"):
-        utf8_text = isinstance(source, io.TextIOWrapper) and (
-            codecs.lookup(source.encoding).name == "utf-8"
-        )
-        data = source.buffer.read() if utf8_text else source.read()
-        name = getattr(source, "name", None)
-        if isinstance(name, str) and not name.startswith("<"):
-            name = Path(name).name
-        else:
-            name = None
-        yield io.BytesIO(_utf8(data)), name
-        return
-    yield _item_lines(source), None
-
-
-def _utf8(data: str | bytes) -> bytes:
-    return data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
-
-
-def _item_lines(items: Iterable[str | bytes]) -> Iterator[bytes]:
-    """Each item as UTF-8 lines, split after each line feed it holds, as a
-    file is; the end of an item also ends a line, so an empty item is one
-    empty line."""
-    for item in items:
-        data = _utf8(item)
-        yield from io.BytesIO(data).readlines() or [data]
-
-
-def _at(error: VindexError, line: int, source: str | None) -> VindexError:
-    """``error``, which holds a bare message, placed at ``line`` of
-    ``source``: the one place an input error gets its location."""
-    return type(error)(str(error), line=line, source=source)
+def _at(error: VindexError, line: int, source: str | None = None) -> VindexError:
+    """``error``, which holds a bare message, placed at ``line`` of the file
+    named ``source``: the one place an input error gets its location,
+    written before the message as ``[source, ]line N: ``."""
+    where = f"{source}, line {line}" if source else f"line {line}"
+    return type(error)(f"{where}: {error}")
 
 
 def _decode(raw: bytes) -> str:
@@ -354,17 +302,14 @@ def _corpus_records(
             yield line_no, paper, loops, error
 
 
-def ingest_corpus(source: str | Path | IO | bytes | Iterable[str]) -> Corpus:
-    """Load a JSONL corpus, one paper object per line: the strict policy
-    over the JSONL pass, raising its first error.
+def ingest_corpus(source: str | Path) -> Corpus:
+    """Load a JSONL corpus from the file at ``source``, one paper object per
+    line: the strict policy over the JSONL pass, raising its first error.
 
-    Accepts a path, an open text or binary file, raw bytes, or an iterable
-    of lines; text is encoded to UTF-8 first. Lines end only at a line feed,
-    and an item of an iterable holding one is split there, as a file is.
-    Blank lines are skipped. A malformed line, invalid UTF-8 (a raw lone
-    surrogate in a ``str`` included) or an escaped lone surrogate aborts
-    with CorpusParseError, a duplicate id with CorpusIntegrityError, each
-    placed at its line and, for a named source, its file name.
+    The file is read as UTF-8, and lines end only at a line feed. Blank
+    lines are skipped. A malformed line, invalid UTF-8 or an escaped lone
+    surrogate aborts with CorpusParseError, a duplicate id with
+    CorpusIntegrityError, each placed at its file name and line.
     Self-references in ``refs`` are stripped and counted as ``self_loops``,
     duplicate refs are collapsed, and refs pointing outside the corpus are
     counted as dangling.
@@ -373,12 +318,13 @@ def ingest_corpus(source: str | Path | IO | bytes | Iterable[str]) -> Corpus:
     author, venue or ref, and a ref to a paper is that paper's id, which is
     also its key in ``papers``.
     """
+    path = Path(source)
     papers: dict[str, Paper] = {}
     self_loops = 0
-    with _open_lines(source) as (lines, name):
+    with open(path, "rb") as lines:
         for line, paper, loops, error in _corpus_records(lines):
             if error is not None:
-                raise _at(error, line, name)
+                raise _at(error, line, path.name)
             papers[paper.id] = paper
             self_loops += loops
     return Corpus(papers=papers, self_loops=self_loops)
@@ -700,11 +646,9 @@ def _aggregate_rows(
                 yield reader.line_num, row, None
 
 
-def read_aggregate_csv(
-    source: str | Path | IO | bytes | Iterable[str],
-) -> list[tuple[str, CitationCounts]]:
-    """Read pre-aggregated entity rows from CSV: the strict policy over the
-    CSV pass, raising its first error.
+def read_aggregate_csv(source: str | Path) -> list[tuple[str, CitationCounts]]:
+    """Read pre-aggregated entity rows from the CSV file at ``source``: the
+    strict policy over the CSV pass, raising its first error.
 
     The header must be exactly ``entity_id,cd,c,sc,h`` and quoting follows
     RFC 4180: a closing quote is followed by a comma or a line end, and the
@@ -713,13 +657,15 @@ def read_aggregate_csv(
     magnitude exceeds 2**53, raises CorpusParseError. Rows violating the count
     invariants (negative values, sc > c, h > cd) or with cd = 0 raise
     DomainError naming the offending entity; duplicate entities raise
-    CorpusIntegrityError, each placed at the line on which its row ends.
+    CorpusIntegrityError, each placed at its file name and the line on
+    which its row ends.
     """
+    path = Path(source)
     rows: list[tuple[str, CitationCounts]] = []
-    with _open_lines(source) as (lines, name):
+    with open(path, "rb") as lines:
         for line, row, error in _aggregate_rows(lines):
             if error is not None:
-                raise _at(error, line, name)
+                raise _at(error, line, path.name)
             rows.append(row)
     return rows
 
@@ -746,11 +692,10 @@ class AuditReport:
         return not self.errors
 
 
-def audit_corpus(
-    source: str | Path | IO | bytes | Iterable[str], mode: Mode = "author"
-) -> AuditReport:
-    """Check a JSONL corpus, collecting every problem instead of stopping:
-    the audit policy over the JSONL pass that ``ingest_corpus`` reads.
+def audit_corpus(source: str | Path, mode: Mode = "author") -> AuditReport:
+    """Check the JSONL corpus at ``source``, collecting every problem
+    instead of stopping: the audit policy over the JSONL pass that
+    ``ingest_corpus`` reads.
 
     Hard errors: unparseable lines and duplicate ids. Warnings: stripped
     self-references, dangling references, and, in journal mode, papers
@@ -759,13 +704,13 @@ def audit_corpus(
     _check_mode(mode)
     report = AuditReport()
     papers: dict[str, Paper] = {}
-    with _open_lines(source) as (lines, _):
+    with open(Path(source), "rb") as lines:
         for line, paper, loops, error in _corpus_records(lines):
             if loops:
                 stripped = f"paper {paper.id!r} cites itself ({loops} entry(ies) stripped)"
                 report.warnings.append(f"line {line}: {stripped}")
             if error is not None:
-                report.errors.append(str(_at(error, line, None)))
+                report.errors.append(str(_at(error, line)))
             else:
                 papers[paper.id] = paper
     dangling = Corpus(papers).dangling_refs
@@ -781,10 +726,11 @@ def audit_corpus(
     return report
 
 
-def audit_aggregate(source: str | Path | IO | bytes | Iterable[str]) -> AuditReport:
-    """Check an aggregate CSV: header, field types, and count invariants.
-    The audit policy over the CSV pass that ``read_aggregate_csv`` reads:
-    it collects every error instead of raising the first."""
-    with _open_lines(source) as (lines, _):
+def audit_aggregate(source: str | Path) -> AuditReport:
+    """Check the aggregate CSV at ``source``: header, field types, and count
+    invariants. The audit policy over the CSV pass that
+    ``read_aggregate_csv`` reads: it collects every error instead of
+    raising the first."""
+    with open(Path(source), "rb") as lines:
         rows = _aggregate_rows(lines)
-        return AuditReport([str(_at(error, line, None)) for line, _, error in rows if error])
+        return AuditReport([str(_at(error, line)) for line, _, error in rows if error])

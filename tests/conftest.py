@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 from pathlib import Path
 
 import pytest
@@ -45,3 +46,23 @@ def journal_table() -> list[dict]:
 def country_table() -> list[dict]:
     """Top-25 countries by v-index, 2011 SCImago snapshot."""
     return load_golden("countries_top25.csv")
+
+
+@pytest.fixture()
+def write_input(tmp_path):
+    """A function that writes one input file and returns its path. It takes
+    bytes, text, written as UTF-8, or a list of lines, each given a line
+    feed at its end if it has none. Each call writes a new file: ``input1``,
+    ``input2`` and so on."""
+    numbers = itertools.count(1)
+
+    def write(data: bytes | str | list[str]) -> Path:
+        if isinstance(data, list):
+            data = "".join(line if line.endswith("\n") else line + "\n" for line in data)
+        if isinstance(data, str):
+            data = data.encode("utf-8")
+        path = tmp_path / f"input{next(numbers)}"
+        path.write_bytes(data)
+        return path
+
+    return write

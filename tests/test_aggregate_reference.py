@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import random
+from pathlib import Path
 
 import pytest
 
@@ -57,9 +58,9 @@ def _random_csv(rng: random.Random) -> str:
     return out.getvalue()
 
 
-def _read_outcome(text: str):
+def _read_outcome(path: Path):
     try:
-        return read_aggregate_csv([text])
+        return read_aggregate_csv(path)
     except VindexError as exc:
         return type(exc), str(exc)
 
@@ -70,12 +71,12 @@ def test_count_matches_the_reference_on_every_token():
             assert graph._count(text) == count_reference(text), text
 
 
-def test_csv_readers_match_a_reader_on_the_reference_count(monkeypatch):
+def test_csv_readers_match_a_reader_on_the_reference_count(write_input, monkeypatch):
     rng = random.Random(1207)
-    texts = [_random_csv(rng) for _ in range(1500)]
-    fast = [(_read_outcome(text), audit_aggregate([text]).errors) for text in texts]
+    paths = [write_input(_random_csv(rng)) for _ in range(1500)]
+    fast = [(_read_outcome(path), audit_aggregate(path).errors) for path in paths]
     monkeypatch.setattr(graph, "_count", count_reference)
-    slow = [(_read_outcome(text), audit_aggregate([text]).errors) for text in texts]
+    slow = [(_read_outcome(path), audit_aggregate(path).errors) for path in paths]
     assert fast == slow
     # the inputs reach rows, every kind of error, and lines past the first
     outcomes = [read for read, _ in fast]

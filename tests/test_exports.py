@@ -7,6 +7,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import inspect
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -135,10 +136,29 @@ def _attributes_read(path: Path) -> set[str]:
     }
 
 
+def _instance_attributes(cls: type) -> set[str]:
+    """The attributes that the ``__init__`` or ``__post_init__`` a class
+    declares itself assigns on its instance, read from the class source."""
+    (tree,) = ast.parse(textwrap.dedent(inspect.getsource(cls))).body
+    names = set()
+    for method in tree.body:
+        if isinstance(method, ast.FunctionDef) and method.name in ("__init__", "__post_init__"):
+            instance = method.args.args[0].arg
+            names.update(
+                node.attr
+                for node in ast.walk(method)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == instance
+            )
+    return names
+
+
 def _public_members(cls: type) -> set[str]:
-    """The fields, properties and methods a class declares itself, leaving
-    out private and dunder names."""
-    names = set(vars(cls))
+    """The fields, properties, methods and instance attributes a class
+    declares itself, leaving out private and dunder names."""
+    names = set(vars(cls)) | _instance_attributes(cls)
     if dataclasses.is_dataclass(cls):
         names.update(field.name for field in dataclasses.fields(cls))
     names.update(getattr(cls, "_fields", ()))
@@ -190,3 +210,6 @@ def test_deleted_members_are_gone():
     assert analytics.RankedTable._fields == ("rows",)
     assert analytics.CorrelationResult._fields == ("rho", "p_value")
     assert list(inspect.signature(graph.self_citation_fraction).parameters) == ["corpus"]
+    assert "__init__" not in vars(errors.VindexError)
+    error = errors.VindexError("line 2: message")
+    assert not hasattr(error, "line") and not hasattr(error, "source")

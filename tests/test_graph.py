@@ -13,12 +13,12 @@ import tracemalloc
 
 import pytest
 
+from vindex.analytics import TABLE_COLUMNS
 from vindex.cli import main
 from vindex.errors import (
     CorpusIntegrityError,
     CorpusParseError,
     DomainError,
-    VindexError,
 )
 from vindex.graph import (
     AGGREGATE_CSV_COLUMNS,
@@ -69,8 +69,8 @@ HANDMADE = jsonl(
 
 
 @pytest.fixture()
-def handmade() -> Corpus:
-    return ingest_corpus(HANDMADE.splitlines())
+def handmade(write_input) -> Corpus:
+    return ingest_corpus(write_input(HANDMADE))
 
 
 def entities(corpus: Corpus, mode: str) -> dict:
@@ -78,31 +78,15 @@ def entities(corpus: Corpus, mode: str) -> dict:
     return {agg.entity_id: agg for agg in aggregate_all(corpus, mode)}
 
 
-def read_every_source_kind(read, path, lines) -> list:
-    """``read`` applied to the input in ``path`` given as each kind of source
-    the readers take: a path, bytes, a binary handle, a UTF-8 text handle,
-    an ``io.StringIO``, and ``lines``, the same text as a list of strings.
-    A refused input gives its error's type, line and message in place of a
-    result, with the name that only paths and handles put before the
-    message dropped."""
-    text = path.read_bytes().decode("utf-8")
-    results = []
-    with open(path, "rb") as binary, open(path, encoding="utf-8") as utf8:
-        for source in (path, text.encode("utf-8"), binary, utf8, io.StringIO(text), lines):
-            try:
-                results.append(read(source))
-            except VindexError as exc:
-                results.append((type(exc), exc.line, str(exc).removeprefix(f"{path.name}, ")))
-    return results
-
-
 # ---------------------------------------------------------------------------
 # ingestion and serialization
 # ---------------------------------------------------------------------------
 
-def test_ingest_two_line_stream():
+def test_ingest_two_line_stream(write_input):
     corpus = ingest_corpus(
-        ['{"id": "p1", "authors": ["a"], "refs": []}', '{"id": "p2", "authors": ["b"], "refs": ["p1"]}']
+        write_input(
+            ['{"id": "p1", "authors": ["a"], "refs": []}', '{"id": "p2", "authors": ["b"], "refs": ["p1"]}']
+        )
     )
     assert len(corpus.papers) == 2
     assert corpus.dangling_refs == 0
@@ -114,11 +98,24 @@ def test_ingest_accepts_path(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text(HANDMADE, encoding="utf-8")
     assert len(ingest_corpus(path).papers) == 4
+    assert ingest_corpus(str(path)) == ingest_corpus(path)
 
 
-def test_ingest_accepts_bytes_and_file_objects():
-    assert len(ingest_corpus(HANDMADE.encode("utf-8")).papers) == 4
-    assert len(ingest_corpus(io.StringIO(HANDMADE)).papers) == 4
+@pytest.mark.parametrize("kind", ["bytes", "stringio", "list"])
+@pytest.mark.parametrize(
+    "read",
+    [ingest_corpus, audit_corpus, read_aggregate_csv, audit_aggregate],
+    ids=lambda read: read.__name__,
+)
+def test_readers_take_only_a_path(write_input, read, kind):
+    # The input is valid, and the bytes name a file that holds it, so the
+    # type of the source is the only thing to refuse.
+    text = HANDMADE if read in (ingest_corpus, audit_corpus) else f"{CSV_HEADER}\nx,1,1,0,1\n"
+    path = write_input(text)
+    source = {"bytes": bytes(path), "stringio": io.StringIO(text), "list": text.splitlines()}
+    with pytest.raises(TypeError):
+        read(source[kind])
+    read(path)
 
 
 def test_ingest_keeps_a_raw_u2028_inside_a_string(tmp_path):
@@ -129,12 +126,10 @@ def test_ingest_keeps_a_raw_u2028_inside_a_string(tmp_path):
     text = "".join(json.dumps(record, ensure_ascii=False) + "\n" for record in records)
     path = tmp_path / "corpus.jsonl"
     path.write_text(text, encoding="utf-8")
-    corpora = read_every_source_kind(ingest_corpus, path, text.split("\n"))
-    assert corpora == [corpora[0]] * 6
-    assert corpora[0].papers["q1"].authors == ("Line\u2028Separator",)
-    assert corpora[0].papers["q2"].authors == ("Next\u0085Line",)
-    assert audit_corpus(path).errors == []
-    assert read_every_source_kind(audit_corpus, path, text.split("\n")) == [AuditReport()] * 6
+    corpus = ingest_corpus(path)
+    assert corpus.papers["q1"].authors == ("Line\u2028Separator",)
+    assert corpus.papers["q2"].authors == ("Next\u0085Line",)
+    assert audit_corpus(path) == AuditReport()
 
 
 def test_ingest_accepts_crlf_line_endings(tmp_path):
@@ -143,51 +138,59 @@ def test_ingest_accepts_crlf_line_endings(tmp_path):
     assert serialize_corpus(ingest_corpus(path)) == HANDMADE
 
 
-def test_ingest_skips_blank_lines():
+def test_ingest_skips_blank_lines(write_input):
     text = '{"id": "p1", "authors": ["a"]}\n\n   \n{"id": "p2", "authors": ["b"]}\n'
-    assert len(ingest_corpus(text.splitlines()).papers) == 2
+    assert len(ingest_corpus(write_input(text)).papers) == 2
 
 
-def test_ingest_counts_dangling_refs():
+def test_ingest_counts_dangling_refs(write_input):
     corpus = ingest_corpus(
-        ['{"id": "p1", "authors": ["a"], "refs": ["ghost", "p2"]}', '{"id": "p2", "authors": ["b"]}']
+        write_input(
+            ['{"id": "p1", "authors": ["a"], "refs": ["ghost", "p2"]}', '{"id": "p2", "authors": ["b"]}']
+        )
     )
     assert corpus.dangling_refs == 1
     # the dangling ref stays on the paper for round-tripping
     assert corpus.papers["p1"].refs == ("ghost", "p2")
 
 
-def test_ingest_strips_self_loops_and_warns():
+def test_ingest_strips_self_loops_and_warns(write_input):
     # the CLI warns with the count the corpus carries
     corpus = ingest_corpus(
-        [
-            '{"id": "p1", "authors": ["a"], "refs": ["p1"]}',
-            '{"id": "p2", "authors": ["b"], "refs": ["p1", "p2", "p2"]}',
-            '{"id": "p3", "authors": ["c"], "refs": ["p1"]}',
-        ]
+        write_input(
+            [
+                '{"id": "p1", "authors": ["a"], "refs": ["p1"]}',
+                '{"id": "p2", "authors": ["b"], "refs": ["p1", "p2", "p2"]}',
+                '{"id": "p3", "authors": ["c"], "refs": ["p1"]}',
+            ]
+        )
     )
     assert corpus.papers["p1"].refs == ()
     assert corpus.papers["p2"].refs == ("p1",)
     assert corpus.self_loops == 2
-    assert ingest_corpus(['{"id": "p1", "authors": ["a"]}']).self_loops == 0
+    assert ingest_corpus(write_input(['{"id": "p1", "authors": ["a"]}'])).self_loops == 0
 
 
-def test_ingest_strips_one_self_reference_among_duplicates():
-    report = audit_corpus(['{"id": "p1", "authors": ["a"], "refs": ["p1", "p1"]}'])
+def test_ingest_strips_one_self_reference_among_duplicates(write_input):
+    report = audit_corpus(write_input(['{"id": "p1", "authors": ["a"], "refs": ["p1", "p1"]}']))
     assert report.warnings == ["line 1: paper 'p1' cites itself (1 entry(ies) stripped)"]
-    corpus = ingest_corpus(['{"id": "p1", "authors": ["a"], "refs": ["p1", "p1", "x", "p1"]}'])
+    corpus = ingest_corpus(
+        write_input(['{"id": "p1", "authors": ["a"], "refs": ["p1", "p1", "x", "p1"]}'])
+    )
     assert corpus.papers["p1"].refs == ("x",)
 
 
-def test_ingest_collapses_duplicate_refs():
+def test_ingest_collapses_duplicate_refs(write_input):
     corpus = ingest_corpus(
-        ['{"id": "p1", "authors": ["a"]}', '{"id": "p2", "authors": ["b"], "refs": ["p1", "p1"]}']
+        write_input(
+            ['{"id": "p1", "authors": ["a"]}', '{"id": "p2", "authors": ["b"], "refs": ["p1", "p1"]}']
+        )
     )
     assert corpus.papers["p2"].refs == ("p1",)
 
 
-def test_ingest_normalizes_empty_venue():
-    corpus = ingest_corpus(['{"id": "p1", "authors": ["a"], "venue": ""}'])
+def test_ingest_normalizes_empty_venue(write_input):
+    corpus = ingest_corpus(write_input(['{"id": "p1", "authors": ["a"], "venue": ""}']))
     assert corpus.papers["p1"].venue is None
 
 
@@ -224,30 +227,33 @@ def test_ingest_normalizes_empty_venue():
         pytest.param("[" * 100_000 + "]" * 100_000, id="deep-nesting"),
     ],
 )
-def test_ingest_rejects_malformed_line(line):
-    good = '{"id": "p0", "authors": ["z"]}'
+def test_ingest_rejects_malformed_line(write_input, line):
+    path = write_input(['{"id": "p0", "authors": ["z"]}', line])
     with pytest.raises(CorpusParseError) as excinfo:
-        ingest_corpus([good, line])
-    assert "line 2" in str(excinfo.value)
-    assert audit_corpus([good, line]).errors == [str(excinfo.value)]
+        ingest_corpus(path)
+    (error,) = audit_corpus(path).errors
+    assert error.startswith("line 2: ")
+    assert str(excinfo.value) == f"{path.name}, {error}"
 
 
 # ---------------------------------------------------------------------------
 # shared strings
 # ---------------------------------------------------------------------------
 
-def test_ingest_shares_each_ref_with_the_id_it_names(handmade):
+def test_ingest_shares_each_ref_with_the_id_it_names(write_input, handmade):
     # json.loads builds every string afresh; only the pass shares them. p2
     # cites p1 before p1's own line, and both cite the same dangling id.
     forward = ingest_corpus(
-        jsonl(
-            {"id": "p2", "authors": ["ann"], "refs": ["p1", "ghost"]},
-            {"id": "p1", "authors": ["bob"]},
-            {"id": "p3", "authors": ["bob"], "refs": ["p1", "p2", "ghost"]},
-        ).splitlines()
+        write_input(
+            jsonl(
+                {"id": "p2", "authors": ["ann"], "refs": ["p1", "ghost"]},
+                {"id": "p1", "authors": ["bob"]},
+                {"id": "p3", "authors": ["bob"], "refs": ["p1", "p2", "ghost"]},
+            )
+        )
     )
     assert forward.papers["p2"].refs[1] is forward.papers["p3"].refs[2]
-    synthetic = ingest_corpus(synthetic_corpus_jsonl(5, 60, 9, 0.3).splitlines())
+    synthetic = ingest_corpus(write_input(synthetic_corpus_jsonl(5, 60, 9, 0.3)))
     for corpus in (forward, handmade, synthetic):
         for paper_id, paper in corpus.papers.items():
             assert paper_id is paper.id
@@ -275,7 +281,7 @@ def test_synthetic_refs_are_the_ids_of_their_papers():
             assert ref is corpus.papers[ref].id
 
 
-def test_a_shared_ref_costs_a_pointer_not_a_string():
+def test_a_shared_ref_costs_a_pointer_not_a_string(write_input):
     def lines(n_refs):
         return [
             json.dumps(
@@ -288,16 +294,16 @@ def test_a_shared_ref_costs_a_pointer_not_a_string():
             for i in range(1000)
         ]
 
-    def held(text):
+    def held(path):
         tracemalloc.start()
         try:
-            corpus = ingest_corpus(text)
+            corpus = ingest_corpus(path)
             return tracemalloc.get_traced_memory()[0], corpus
         finally:
             tracemalloc.stop()
 
-    bare, _ = held(lines(0))
-    full, corpus = held(lines(20))
+    bare, _ = held(write_input(lines(0)))
+    full, corpus = held(write_input(lines(20)))
     n_refs = sum(len(paper.refs) for paper in corpus)
     assert n_refs == 19_790
     # Measured at 9.7 bytes per ref: the tuple slot plus a share of the
@@ -327,14 +333,9 @@ def test_ingest_rejects_invalid_utf8_with_its_line(tmp_path):
     )
     path = tmp_path / "bad.jsonl"
     path.write_bytes(data)
-    for source in (path, data, io.BytesIO(data)):
-        with pytest.raises(CorpusParseError) as excinfo:
-            ingest_corpus(source)
-        assert excinfo.value.line == 2
-        assert "invalid UTF-8 at byte 28 (invalid start byte)" in str(excinfo.value)
-    assert str(excinfo.value).startswith("line 2: ")
-    with pytest.raises(CorpusParseError, match="^bad.jsonl, line 2: invalid UTF-8"):
+    with pytest.raises(CorpusParseError) as excinfo:
         ingest_corpus(path)
+    assert str(excinfo.value) == "bad.jsonl, line 2: invalid UTF-8 at byte 28 (invalid start byte)"
     # the audit reports every undecodable line and reads on
     assert audit_corpus(path).errors == [
         "line 2: invalid UTF-8 at byte 28 (invalid start byte)",
@@ -351,42 +352,42 @@ BOM_CORPUS = (
 BOM_TABLE = b"entity_id,cd,c,sc,h\nx,1,1,0,1\n"
 
 
-def test_ingest_and_audit_drop_a_leading_byte_order_mark(tmp_path):
-    path = tmp_path / "bom.jsonl"
-    path.write_bytes(b"\xef\xbb\xbf" + BOM_CORPUS)
-    plain = ingest_corpus(BOM_CORPUS)
-    for source in (path, path.read_bytes()):
-        assert ingest_corpus(source) == plain
-        report = audit_corpus(source)
-        assert report.errors == []
-        assert report.warnings == audit_corpus(BOM_CORPUS).warnings
-    table = tmp_path / "bom.csv"
-    table.write_bytes(b"\xef\xbb\xbf" + BOM_TABLE)
-    for source in (table, table.read_bytes()):
-        assert read_aggregate_csv(source) == read_aggregate_csv(BOM_TABLE)
-        assert audit_aggregate(source).errors == []
+def test_ingest_and_audit_drop_a_leading_byte_order_mark(write_input):
+    path = write_input(b"\xef\xbb\xbf" + BOM_CORPUS)
+    plain = write_input(BOM_CORPUS)
+    assert ingest_corpus(path) == ingest_corpus(plain)
+    report = audit_corpus(path)
+    assert report.errors == []
+    assert report.warnings == audit_corpus(plain).warnings
+    table = write_input(b"\xef\xbb\xbf" + BOM_TABLE)
+    assert read_aggregate_csv(table) == read_aggregate_csv(write_input(BOM_TABLE))
+    assert audit_aggregate(table).errors == []
 
 
-def test_only_one_leading_byte_order_mark_is_dropped():
+def test_only_one_leading_byte_order_mark_is_dropped(write_input):
     twice = b"\xef\xbb\xbf" * 2
-    with pytest.raises(CorpusParseError, match="^line 1: invalid JSON"):
-        ingest_corpus(twice + BOM_CORPUS)
+    path = write_input(twice + BOM_CORPUS)
+    with pytest.raises(CorpusParseError, match=f"^{path.name}, line 1: invalid JSON"):
+        ingest_corpus(path)
     header_error = (
         "line 1: header must be exactly 'entity_id,cd,c,sc,h', "
         "got '\\ufeffentity_id,cd,c,sc,h'"
     )
+    table = write_input(twice + BOM_TABLE)
     with pytest.raises(CorpusParseError) as excinfo:
-        read_aggregate_csv(twice + BOM_TABLE)
-    assert str(excinfo.value) == header_error
-    assert audit_aggregate(twice + BOM_TABLE).errors == [header_error]
+        read_aggregate_csv(table)
+    assert str(excinfo.value) == f"{table.name}, {header_error}"
+    assert audit_aggregate(table).errors == [header_error]
 
 
-def test_byte_order_mark_after_line_1_is_still_rejected():
-    data = b"\xef\xbb\xbf" + BOM_CORPUS + b'\xef\xbb\xbf{"id": "p3", "authors": ["c"]}\n'
-    with pytest.raises(CorpusParseError, match="^line 3: invalid JSON"):
-        ingest_corpus(data)
-    line_2 = BOM_CORPUS.replace(b"\n{", b"\n\xef\xbb\xbf{")
-    with pytest.raises(CorpusParseError, match="^line 2: invalid JSON"):
+def test_byte_order_mark_after_line_1_is_still_rejected(write_input):
+    path = write_input(
+        b"\xef\xbb\xbf" + BOM_CORPUS + b'\xef\xbb\xbf{"id": "p3", "authors": ["c"]}\n'
+    )
+    with pytest.raises(CorpusParseError, match=f"^{path.name}, line 3: invalid JSON"):
+        ingest_corpus(path)
+    line_2 = write_input(BOM_CORPUS.replace(b"\n{", b"\n\xef\xbb\xbf{"))
+    with pytest.raises(CorpusParseError, match=f"^{line_2.name}, line 2: invalid JSON"):
         ingest_corpus(line_2)
     assert [e.split(" (")[0] for e in audit_corpus(line_2).errors] == ["line 2: invalid JSON"]
 
@@ -402,112 +403,101 @@ def test_byte_order_mark_after_line_1_is_still_rejected():
         ('{"id": "p2", "authors": ["\\ude00\\ud83d"]}', "authors"),
     ],
 )
-def test_ingest_and_audit_reject_a_lone_surrogate(record, what):
-    lines = ['{"id": "p1", "authors": ["a"]}', record]
+def test_ingest_and_audit_reject_a_lone_surrogate(write_input, record, what):
+    path = write_input(['{"id": "p1", "authors": ["a"]}', record])
+    error = f"line 2: '{what}' holds a lone surrogate"
     with pytest.raises(CorpusParseError) as excinfo:
-        ingest_corpus(lines)
-    assert str(excinfo.value) == f"line 2: '{what}' holds a lone surrogate"
-    assert audit_corpus(lines).errors == [str(excinfo.value)]
+        ingest_corpus(path)
+    assert str(excinfo.value) == f"{path.name}, {error}"
+    assert audit_corpus(path).errors == [error]
 
 
-def test_ingest_keeps_escaped_pairs_and_other_escapes():
+def test_ingest_keeps_escaped_pairs_and_other_escapes(write_input):
     # an escaped pair, a non-surrogate escape and an escaped backslash
-    line = (
+    path = write_input(
         '{"id": "p\\ud83d\\ude00", "authors": ["M\\u00fcller", "\\\\ud800"], '
         '"venue": "J\\uD83D\\uDE00"}'
     )
-    corpus = ingest_corpus([line])
+    corpus = ingest_corpus(path)
     paper = corpus.papers["p\U0001f600"]
     assert paper.authors == ("M\u00fcller", "\\ud800")
     assert paper.venue == "J\U0001f600"
-    assert audit_corpus([line]).ok
+    assert audit_corpus(path).ok
 
 
-@pytest.mark.parametrize(
-    "as_source",
-    [
-        pytest.param(list, id="lines"),
-        pytest.param(lambda lines: io.StringIO("".join(lines)), id="stringio"),
-    ],
-)
-def test_readers_refuse_a_raw_lone_surrogate_in_text(as_source):
-    # a real U+D800 in the string, not a JSON escape of one
-    corpus = [
-        '{"id": "p1", "authors": ["a"]}\n',
-        '{"id": "p2", "authors": ["b\ud800"]}\n',
-        '{"id": "p3", "authors": ["c"], "refs": ["p3", "p1"]}\n',
-    ]
+def test_readers_refuse_a_raw_lone_surrogate_in_text(write_input):
+    # The bytes that encode U+D800 as if it were a character: a str can
+    # hold it, but UTF-8 may not, and neither may a JSON escape of it.
+    corpus = write_input(
+        b'{"id": "p1", "authors": ["a"]}\n'
+        b'{"id": "p2", "authors": ["b\xed\xa0\x80"]}\n'
+        b'{"id": "p3", "authors": ["c"], "refs": ["p3", "p1"]}\n'
+    )
+    error = "line 2: invalid UTF-8 at byte 28 (invalid continuation byte)"
     with pytest.raises(CorpusParseError) as excinfo:
-        ingest_corpus(as_source(corpus))
-    assert excinfo.value.line == 2
-    assert str(excinfo.value) == "line 2: invalid UTF-8 at byte 28 (invalid continuation byte)"
-    # the audit reports the same string and still reads line 3
-    assert audit_corpus(as_source(corpus)) == AuditReport(
-        errors=[str(excinfo.value)],
+        ingest_corpus(corpus)
+    assert str(excinfo.value) == f"{corpus.name}, {error}"
+    # the audit reports the same error and still reads line 3
+    assert audit_corpus(corpus) == AuditReport(
+        errors=[error],
         warnings=["line 3: paper 'p3' cites itself (1 entry(ies) stripped)"],
     )
-    table = [f"{CSV_HEADER}\n", "x\udc80,1,1,0,1\n", "ok,1,1,0,1\n", "sc,5,10,20,3\n"]
+    table = write_input(
+        f"{CSV_HEADER}\n".encode() + b"x\xed\xb2\x80,1,1,0,1\nok,1,1,0,1\nsc,5,10,20,3\n"
+    )
+    error = "line 2: invalid UTF-8 at byte 2 (invalid continuation byte)"
     with pytest.raises(CorpusParseError) as excinfo:
-        read_aggregate_csv(as_source(table))
-    assert excinfo.value.line == 2
-    assert str(excinfo.value) == "line 2: invalid UTF-8 at byte 2 (invalid continuation byte)"
-    assert audit_aggregate(as_source(table)).errors == [
-        str(excinfo.value),
+        read_aggregate_csv(table)
+    assert str(excinfo.value) == f"{table.name}, {error}"
+    assert audit_aggregate(table).errors == [
+        error,
         "line 4: entity 'sc': self_citations (20) exceed citations_total (10)",
     ]
-    assert read_aggregate_csv(as_source([table[0], table[2]])) == [
+    assert read_aggregate_csv(write_input([CSV_HEADER, "ok,1,1,0,1"])) == [
         ("ok", CitationCounts(1, 0, 1, 1))
     ]
 
 
-def test_a_str_item_is_split_at_its_inner_line_feeds_as_a_file_is():
-    item = '{"id": "p1",\n "authors": ["a"]}'
-    for source in ([item], item.encode("utf-8")):
-        with pytest.raises(CorpusParseError) as excinfo:
-            ingest_corpus(source)
-        assert excinfo.value.line == 1
-        assert str(excinfo.value) == (
-            "line 1: invalid JSON (Expecting property name enclosed in double quotes)"
-        )
-        assert audit_corpus(source).errors == [
-            str(excinfo.value),
-            "line 2: invalid JSON (Extra data)",
-        ]
-    # a valid item holding two records reads as two lines
+def test_a_str_item_is_split_at_its_inner_line_feeds_as_a_file_is(write_input):
+    path = write_input('{"id": "p1",\n "authors": ["a"]}')
+    first = "line 1: invalid JSON (Expecting property name enclosed in double quotes)"
+    with pytest.raises(CorpusParseError) as excinfo:
+        ingest_corpus(path)
+    assert str(excinfo.value) == f"{path.name}, {first}"
+    assert audit_corpus(path).errors == [first, "line 2: invalid JSON (Extra data)"]
+    # an item holding two records reads as two lines
     both = '{"id": "p1", "authors": ["a"]}\n{"id": "p2", "authors": ["b"], "refs": ["p1"]}\n'
-    assert ingest_corpus([both]) == ingest_corpus(both.encode("utf-8"))
+    path = write_input(['{"id": "p0", "authors": ["z"]}', both + both])
     with pytest.raises(CorpusIntegrityError) as excinfo:
-        ingest_corpus(['{"id": "p0", "authors": ["z"]}', both + both])
-    assert excinfo.value.line == 4
+        ingest_corpus(path)
+    assert str(excinfo.value).startswith(f"{path.name}, line 4: ")
 
 
 @pytest.mark.parametrize("ending", ["\n", "\r\n"])
-def test_a_csv_str_item_is_split_at_its_inner_line_feeds_as_a_file_is(ending):
-    text = f"{CSV_HEADER}\nx,1\n,1,0,1{ending}"
+def test_a_csv_str_item_is_split_at_its_inner_line_feeds_as_a_file_is(write_input, ending):
+    path = write_input(f"{CSV_HEADER}\nx,1\n,1,0,1{ending}")
     expected = ["line 2: expected 5 fields, got 2", "line 3: expected 5 fields, got 4"]
-    for source in ([f"{CSV_HEADER}\n", f"x,1\n,1,0,1{ending}"], text.encode("utf-8")):
-        with pytest.raises(CorpusParseError) as excinfo:
-            read_aggregate_csv(source)
-        assert excinfo.value.line == 2
-        assert str(excinfo.value) == expected[0]
-        assert audit_aggregate(source).errors == expected
-    # a quoted field still spans the split, and the line after it counts on
-    table = [f'{CSV_HEADER}\n"Multi\nLine",3,10,2,2\nx,1,1,0,1\n', "x,2,2,0,1\n"]
+    with pytest.raises(CorpusParseError) as excinfo:
+        read_aggregate_csv(path)
+    assert str(excinfo.value) == f"{path.name}, {expected[0]}"
+    assert audit_aggregate(path).errors == expected
+    # a quoted field still spans a line feed, and the line after it counts on
+    lines = [f'{CSV_HEADER}\n"Multi\nLine",3,10,2,2\nx,1,1,0,1\n', "x,2,2,0,1\n"]
+    path = write_input(lines)
     with pytest.raises(CorpusIntegrityError) as excinfo:
-        read_aggregate_csv(table)
-    assert excinfo.value.line == 5
-    assert read_aggregate_csv(table[:1]) == [
+        read_aggregate_csv(path)
+    assert str(excinfo.value).startswith(f"{path.name}, line 5: ")
+    assert read_aggregate_csv(write_input(lines[:1])) == [
         ("Multi\nLine", CitationCounts(10, 2, 3, 2)),
         ("x", CitationCounts(1, 0, 1, 1)),
     ]
 
 
-def test_ingest_rejects_duplicate_ids():
+def test_ingest_rejects_duplicate_ids(write_input):
+    path = write_input(['{"id": "p1", "authors": ["a"]}', '{"id": "p1", "authors": ["b"]}'])
     with pytest.raises(CorpusIntegrityError) as excinfo:
-        ingest_corpus(['{"id": "p1", "authors": ["a"]}', '{"id": "p1", "authors": ["b"]}'])
-    assert "p1" in str(excinfo.value)
-    assert "line 2" in str(excinfo.value)
-    assert excinfo.value.line == 2
+        ingest_corpus(path)
+    assert str(excinfo.value) == f"{path.name}, line 2: duplicate paper id 'p1'"
 
 
 def test_parse_error_names_the_file(tmp_path):
@@ -518,9 +508,9 @@ def test_parse_error_names_the_file(tmp_path):
     assert "broken.jsonl" in str(excinfo.value)
 
 
-def test_serialize_ingest_round_trip(handmade):
+def test_serialize_ingest_round_trip(write_input, handmade):
     text = serialize_corpus(handmade)
-    again = ingest_corpus(io.StringIO(text))
+    again = ingest_corpus(write_input(text))
     assert again == handmade
     assert serialize_corpus(again) == text
 
@@ -530,9 +520,9 @@ def test_hand_built_corpus_counts_its_dangling_refs():
     assert corpus.dangling_refs == 1
 
 
-def test_round_trip_preserves_dangling_refs():
-    corpus = ingest_corpus(['{"id": "p1", "authors": ["a"], "refs": ["ghost"]}'])
-    again = ingest_corpus(serialize_corpus(corpus).splitlines())
+def test_round_trip_preserves_dangling_refs(write_input):
+    corpus = ingest_corpus(write_input(['{"id": "p1", "authors": ["a"], "refs": ["ghost"]}']))
+    again = ingest_corpus(write_input(serialize_corpus(corpus)))
     assert again.dangling_refs == 1
     assert again == corpus
 
@@ -541,8 +531,8 @@ def test_serialize_empty_corpus():
     assert serialize_corpus(Corpus(papers={})) == ""
 
 
-def test_serialize_omits_missing_optional_fields():
-    corpus = ingest_corpus(['{"id": "p1", "authors": ["a"]}'])
+def test_serialize_omits_missing_optional_fields(write_input):
+    corpus = ingest_corpus(write_input(['{"id": "p1", "authors": ["a"]}']))
     record = json.loads(serialize_corpus(corpus))
     assert "venue" not in record and "year" not in record
     assert record["refs"] == []
@@ -563,13 +553,13 @@ def received(corpus: Corpus, paper_id: str, mode: str) -> set[tuple[int, int]]:
     }
 
 
-def edge_label(citing: str, cited: str, mode: str) -> str:
+def edge_label(write_input, citing: str, cited: str, mode: str) -> str:
     """Label the HANDMADE edge citing -> cited through the aggregation of a
     corpus holding only those two papers and that one edge."""
     records = {record["id"]: record for record in map(json.loads, HANDMADE.splitlines())}
     pair = jsonl(records[cited] | {"refs": []}, records[citing] | {"refs": [cited]})
     labels = {(1, 0): "genuine", (1, 1): "self"}
-    (tally,) = received(ingest_corpus(pair.splitlines()), cited, mode)
+    (tally,) = received(ingest_corpus(write_input(pair)), cited, mode)
     return labels[tally]
 
 
@@ -583,8 +573,8 @@ def edge_label(citing: str, cited: str, mode: str) -> str:
         ("p4", "p3", "self"),      # shared author cara
     ],
 )
-def test_classify_author_mode(citing, cited, label):
-    assert edge_label(citing, cited, "author") == label
+def test_classify_author_mode(write_input, citing, cited, label):
+    assert edge_label(write_input, citing, cited, "author") == label
 
 
 @pytest.mark.parametrize(
@@ -595,13 +585,15 @@ def test_classify_author_mode(citing, cited, label):
         ("p4", "p3", "genuine"),   # J2 cites J1
     ],
 )
-def test_classify_journal_mode(citing, cited, label):
-    assert edge_label(citing, cited, "journal") == label
+def test_classify_journal_mode(write_input, citing, cited, label):
+    assert edge_label(write_input, citing, cited, "journal") == label
 
 
-def test_classify_missing_venue_is_genuine():
+def test_classify_missing_venue_is_genuine(write_input):
     corpus = ingest_corpus(
-        ['{"id": "p1", "authors": ["a"], "venue": "J1"}', '{"id": "p2", "authors": ["b"], "refs": ["p1"]}']
+        write_input(
+            ['{"id": "p1", "authors": ["a"], "venue": "J1"}', '{"id": "p2", "authors": ["b"], "refs": ["p1"]}']
+        )
     )
     assert received(corpus, "p1", "journal") == {(1, 0)}
 
@@ -656,41 +648,45 @@ def test_aggregate_all_is_lexicographic(handmade):
     assert names == sorted(names) == ["ann", "bob", "cara"]
 
 
-def test_papers_without_venue_are_not_journal_entities():
+def test_papers_without_venue_are_not_journal_entities(write_input):
     corpus = ingest_corpus(
-        ['{"id": "p1", "authors": ["a"]}', '{"id": "p2", "authors": ["b"], "venue": "J1"}']
+        write_input(['{"id": "p1", "authors": ["a"]}', '{"id": "p2", "authors": ["b"], "venue": "J1"}'])
     )
     names = [agg.entity_id for agg in aggregate_all(corpus, "journal")]
     assert names == ["J1"]
 
 
-def test_journal_mode_warns_about_missing_venues():
+def test_journal_mode_warns_about_missing_venues(write_input, handmade):
     # the CLI warns with this count in journal mode; each edge counts genuine
     corpus = ingest_corpus(
-        [
-            '{"id": "p1", "authors": ["a"], "venue": "J1"}',
-            '{"id": "p2", "authors": ["b"], "refs": ["p1", "ghost"]}',
-            '{"id": "p3", "authors": ["c"], "venue": "J1", "refs": ["p1", "p2"]}',
-            '{"id": "p4", "authors": ["d"], "venue": "", "refs": ["p2", "p3"]}',
-        ]
+        write_input(
+            [
+                '{"id": "p1", "authors": ["a"], "venue": "J1"}',
+                '{"id": "p2", "authors": ["b"], "refs": ["p1", "ghost"]}',
+                '{"id": "p3", "authors": ["c"], "venue": "J1", "refs": ["p1", "p2"]}',
+                '{"id": "p4", "authors": ["d"], "venue": "", "refs": ["p2", "p3"]}',
+            ]
+        )
     )
     # p2->p1, p3->p2, p4->p2 and p4->p3 lack a venue; p3->p1 and the
     # dangling ref do not count
     assert corpus.missing_venue_edges == 4
     assert {agg.entity_id: agg.sc for agg in aggregate_all(corpus, "journal")} == {"J1": 1}
-    assert ingest_corpus(HANDMADE.splitlines()).missing_venue_edges == 0
+    assert handmade.missing_venue_edges == 0
 
 
-def test_author_credit_is_not_double_counted():
+def test_author_credit_is_not_double_counted(write_input):
     # one author listed once per paper even if the paper repeats the name
-    corpus = ingest_corpus(['{"id": "p1", "authors": ["a", "a"]}'])
+    corpus = ingest_corpus(write_input(['{"id": "p1", "authors": ["a", "a"]}']))
     agg = entities(corpus, "author")["a"]
     assert agg.cd == 1
 
 
-def test_dangling_refs_do_not_enter_tallies():
+def test_dangling_refs_do_not_enter_tallies(write_input):
     corpus = ingest_corpus(
-        ['{"id": "p1", "authors": ["a"]}', '{"id": "p2", "authors": ["a"], "refs": ["p1", "ghost"]}']
+        write_input(
+            ['{"id": "p1", "authors": ["a"]}', '{"id": "p2", "authors": ["a"], "refs": ["p1", "ghost"]}']
+        )
     )
     agg = entities(corpus, "author")["a"]
     assert (agg.c, agg.sc) == (1, 1)
@@ -701,8 +697,8 @@ def test_self_citation_fraction(handmade):
     assert self_citation_fraction(handmade) == pytest.approx(3 / 5)
 
 
-def test_self_citation_fraction_no_edges():
-    corpus = ingest_corpus(['{"id": "p1", "authors": ["a"]}'])
+def test_self_citation_fraction_no_edges(write_input):
+    corpus = ingest_corpus(write_input(['{"id": "p1", "authors": ["a"]}']))
     assert self_citation_fraction(corpus) == 0.0
 
 
@@ -873,11 +869,11 @@ def test_messy_corpora_hold_every_anomaly():
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_aggregation_matches_the_oracles_on_messy_corpora(mode):
+def test_aggregation_matches_the_oracles_on_messy_corpora(write_input, mode):
     oracle = {"author": author_aggregates_from_jsonl, "journal": journal_aggregates_from_jsonl}
     for seed in range(60):
         text = messy_corpus(seed)
-        corpus = ingest_corpus(text.encode("utf-8"))
+        corpus = ingest_corpus(write_input(text))
         actual = {
             agg.entity_id: dict(cd=agg.cd, c=agg.c, sc=agg.sc, h=agg.h, h_star=agg.h_star)
             for agg in aggregate_all(corpus, mode)
@@ -902,10 +898,10 @@ def test_h_star_never_exceeds_h():
 # aggregate CSV interchange
 # ---------------------------------------------------------------------------
 
-def test_aggregate_csv_round_trip(handmade):
+def test_aggregate_csv_round_trip(write_input, handmade):
     text = write_aggregate_csv(aggregate_all(handmade, "author"))
     assert text.splitlines()[0] == ",".join(AGGREGATE_CSV_COLUMNS)
-    rows = read_aggregate_csv(text.splitlines())
+    rows = read_aggregate_csv(write_input(text))
     assert [entity for entity, _ in rows] == ["ann", "bob", "cara"]
     ann = dict(rows)["ann"]
     assert (ann.citable_documents, ann.citations_total, ann.self_citations, ann.h_index) == (
@@ -914,6 +910,67 @@ def test_aggregate_csv_round_trip(handmade):
         2,
         1,
     )
+
+
+# Ids the aggregate CSV must quote: a bare CR, a CRLF, a CR at the end, a
+# comma, a quote and quotes around a CRLF; U+2028, which it need not
+# quote, splits no line.
+AWKWARD_IDS = (
+    "a\rb", "c\r\nd", "e\rf\r", "Huang, Thomas", 'say "hi"', 'x"\r\n"y', "line\u2028sep"
+)
+
+
+def awkward_corpus() -> str:
+    """JSONL whose authors and venues all have ids from ``AWKWARD_IDS``,
+    with self and genuine citations in both modes."""
+    records = []
+    for index, name in enumerate(AWKWARD_IDS):
+        partner = AWKWARD_IDS[(index + 1) % len(AWKWARD_IDS)]
+        refs = [f"p{j}" for j in range(index)]
+        records.append(
+            {"id": f"p{index}", "authors": [name], "venue": name, "refs": refs}
+        )
+        records.append(
+            {"id": f"q{index}", "authors": [name, partner], "venue": partner, "refs": refs[-2:]}
+        )
+    return jsonl(*records)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_written_aggregates_read_back_with_every_id_unchanged(write_input, mode):
+    aggregates = aggregate_all(ingest_corpus(write_input(awkward_corpus())), mode)
+    rows = read_aggregate_csv(write_input(write_aggregate_csv(aggregates)))
+    assert rows == [(agg.entity_id, agg.counts()) for agg in aggregates]
+    assert sorted(entity for entity, _ in rows) == sorted(AWKWARD_IDS)
+
+
+def _table_without_h_star(text: str, format: str) -> list[list[str]]:
+    if format == "csv":
+        rows = list(csv.reader(io.StringIO(text, newline=""), strict=True))
+    else:
+        # No awkward id holds a pipe, and U+2028 ends no Markdown row.
+        rows = [line.split(" | ") for line in text.removesuffix("\n").split("\n")]
+    assert {len(row) for row in rows} == {len(TABLE_COLUMNS)}
+    column = TABLE_COLUMNS.index("h_star")
+    return [row[:column] + row[column + 1:] for row in rows]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_metrics_on_a_corpus_equals_metrics_on_its_written_aggregates(tmp_path, capsys, mode):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(awkward_corpus(), encoding="utf-8")
+    table = tmp_path / "aggregate.csv"
+    table.write_bytes(write_aggregate_csv(aggregate_all(ingest_corpus(corpus), mode)).encode())
+    for format in ("csv", "md"):
+        for sort in ("v", "h", "cd"):
+            options = ["--format", format, "--sort", sort]
+            assert main(["metrics", "--input", str(corpus), "--mode", mode, *options]) == 0
+            from_corpus = capsys.readouterr().out
+            assert main(["metrics", "--input", str(table), "--kind", "aggregate", *options]) == 0
+            from_table = capsys.readouterr().out
+            rows = _table_without_h_star(from_corpus, format)
+            assert rows == _table_without_h_star(from_table, format), (format, sort)
+            assert len(rows) == len(AWKWARD_IDS) + (1 if format == "csv" else 2)
 
 
 def test_aggregate_csv_reads_quoted_names(tmp_path):
@@ -928,60 +985,59 @@ def test_aggregate_csv_reads_quoted_names(tmp_path):
     "header",
     ["entity,cd,c,sc,h", "entity_id,cd,c,sc", "entity_id,c,cd,sc,h", "", "cd,c,sc,h,entity_id"],
 )
-def test_aggregate_csv_rejects_wrong_header(header):
+def test_aggregate_csv_rejects_wrong_header(write_input, header):
     with pytest.raises(CorpusParseError) as excinfo:
-        read_aggregate_csv([header, "x,1,1,0,1"])
+        read_aggregate_csv(write_input([header, "x,1,1,0,1"]))
     assert "line 1" in str(excinfo.value) or "empty" in str(excinfo.value)
 
 
-def test_aggregate_csv_rejects_non_integer_counts():
+def test_aggregate_csv_rejects_non_integer_counts(write_input):
     with pytest.raises(CorpusParseError) as excinfo:
-        read_aggregate_csv(["entity_id,cd,c,sc,h", "x,1,lots,0,1"])
+        read_aggregate_csv(write_input(["entity_id,cd,c,sc,h", "x,1,lots,0,1"]))
     assert "x" in str(excinfo.value)
     assert "line 2" in str(excinfo.value)
 
 
-def test_aggregate_csv_rejects_invariant_violations():
+def test_aggregate_csv_rejects_invariant_violations(write_input):
+    path = write_input(["entity_id,cd,c,sc,h", "offender,5,10,20,3"])
     with pytest.raises(DomainError) as excinfo:
-        read_aggregate_csv(["entity_id,cd,c,sc,h", "offender,5,10,20,3"])
+        read_aggregate_csv(path)
     message = str(excinfo.value)
-    assert "offender" in message and "line 2" in message
-    assert excinfo.value.line == 2
+    assert "offender" in message
+    assert message.startswith(f"{path.name}, line 2: ")
 
 
-def test_aggregate_csv_rejects_h_above_cd():
+def test_aggregate_csv_rejects_h_above_cd(write_input):
     with pytest.raises(DomainError) as excinfo:
-        read_aggregate_csv(["entity_id,cd,c,sc,h", "offender,3,100,0,4"])
+        read_aggregate_csv(write_input(["entity_id,cd,c,sc,h", "offender,3,100,0,4"]))
     assert "offender" in str(excinfo.value)
 
 
-def test_aggregate_csv_rejects_duplicates():
+def test_aggregate_csv_rejects_duplicates(write_input):
+    path = write_input(["entity_id,cd,c,sc,h", "x,1,1,0,1", "x,2,2,0,1"])
     with pytest.raises(CorpusIntegrityError) as excinfo:
-        read_aggregate_csv(["entity_id,cd,c,sc,h", "x,1,1,0,1", "x,2,2,0,1"])
-    assert "x" in str(excinfo.value)
-    assert str(excinfo.value) == "line 3: duplicate entity 'x'"
-    assert excinfo.value.line == 3
+        read_aggregate_csv(path)
+    assert str(excinfo.value) == f"{path.name}, line 3: duplicate entity 'x'"
 
 
-def test_aggregate_csv_rejects_short_rows():
+def test_aggregate_csv_rejects_short_rows(write_input):
     with pytest.raises(CorpusParseError):
-        read_aggregate_csv(["entity_id,cd,c,sc,h", "x,1,1"])
+        read_aggregate_csv(write_input(["entity_id,cd,c,sc,h", "x,1,1"]))
 
 
 @pytest.mark.parametrize("count", ["1_0", "\u0665", " 5", "+5", "5.0"])
-def test_aggregate_csv_counts_are_ascii_digits_only(count):
-    lines = ["entity_id,cd,c,sc,h", f"x,{count},20,5,3"]
+def test_aggregate_csv_counts_are_ascii_digits_only(write_input, count):
+    path = write_input(["entity_id,cd,c,sc,h", f"x,{count},20,5,3"])
+    error = "line 2: entity 'x': counts must be integers"
     with pytest.raises(CorpusParseError) as excinfo:
-        read_aggregate_csv(lines)
-    assert "line 2" in str(excinfo.value)
-    assert audit_aggregate(lines).errors == [
-        "line 2: entity 'x': counts must be integers"
-    ]
+        read_aggregate_csv(path)
+    assert str(excinfo.value) == f"{path.name}, {error}"
+    assert audit_aggregate(path).errors == [error]
 
 
-def test_aggregate_csv_negative_count_is_a_domain_error():
+def test_aggregate_csv_negative_count_is_a_domain_error(write_input):
     with pytest.raises(DomainError) as excinfo:
-        read_aggregate_csv(["entity_id,cd,c,sc,h", "x,-1,20,5,3"])
+        read_aggregate_csv(write_input(["entity_id,cd,c,sc,h", "x,-1,20,5,3"]))
     assert "line 2" in str(excinfo.value)
 
 
@@ -989,15 +1045,9 @@ def test_aggregate_csv_keeps_a_quoted_newline(tmp_path):
     text = 'entity_id,cd,c,sc,h\n"Multi\nLine",3,10,2,2\nSingle,4,20,5,3\n'
     path = tmp_path / "agg.csv"
     path.write_text(text, encoding="utf-8")
-    for source in (path, text.encode("utf-8"), io.StringIO(text, newline="")):
-        rows = read_aggregate_csv(source)
-        assert [entity for entity, _ in rows] == ["Multi\nLine", "Single"]
-    assert audit_aggregate(path).ok
-    lines = text.splitlines(keepends=True)
-    every = read_every_source_kind(read_aggregate_csv, path, lines)
-    assert every == [every[0]] * 6
-    assert [entity for entity, _ in every[0]] == ["Multi\nLine", "Single"]
-    assert read_every_source_kind(audit_aggregate, path, lines) == [AuditReport()] * 6
+    rows = read_aggregate_csv(path)
+    assert [entity for entity, _ in rows] == ["Multi\nLine", "Single"]
+    assert audit_aggregate(path) == AuditReport()
 
 
 def test_aggregate_csv_reads_bare_carriage_returns(tmp_path):
@@ -1007,18 +1057,11 @@ def test_aggregate_csv_reads_bare_carriage_returns(tmp_path):
     assert [entity for entity, _ in rows] == ["Multi\rLine", "Single"]
     assert audit_aggregate(path).ok
     path.write_bytes(b"entity_id,cd,c,sc,h\rx,1,1,0,1\r\ny,1,1,0,1\nbad,1,x,0,1\r")
+    error = "line 4: entity 'bad': counts must be integers"
     with pytest.raises(CorpusParseError) as excinfo:
         read_aggregate_csv(path)
-    assert excinfo.value.line == 4
-    assert audit_aggregate(path).errors == ["line 4: entity 'bad': counts must be integers"]
-    # a str line is split at a bare carriage return as the same bytes are
-    line = "entity_id,cd,c,sc,h\rx,1,1,0,1\r\ny,1,1,0,1\nbad,1,x,0,1\r"
-    with pytest.raises(CorpusParseError) as excinfo:
-        read_aggregate_csv([line])
-    assert excinfo.value.line == 4
-    assert audit_aggregate([line]).errors == audit_aggregate(path).errors
-    text = 'entity_id,cd,c,sc,h\r"Multi\rLine",3,10,2,2\rSingle,4,20,5,3\r'
-    assert read_aggregate_csv([text]) == read_aggregate_csv(text.encode("utf-8"))
+    assert str(excinfo.value) == f"agg.csv, {error}"
+    assert audit_aggregate(path).errors == [error]
 
 
 def test_aggregate_csv_rejects_invalid_utf8_with_its_line(tmp_path):
@@ -1028,18 +1071,17 @@ def test_aggregate_csv_rejects_invalid_utf8_with_its_line(tmp_path):
     )
     path = tmp_path / "bad.csv"
     path.write_bytes(data)
-    for source in (path, data, io.BytesIO(data)):
-        with pytest.raises(CorpusParseError) as excinfo:
-            read_aggregate_csv(source)
-        assert excinfo.value.line == 4
-        assert "invalid UTF-8 at byte 1 (invalid start byte)" in str(excinfo.value)
+    with pytest.raises(CorpusParseError) as excinfo:
+        read_aggregate_csv(path)
+    assert str(excinfo.value) == "bad.csv, line 4: invalid UTF-8 at byte 1 (invalid start byte)"
     # the audit rejects each row holding an undecodable line and reads on
     assert audit_aggregate(path).errors == [
         "line 4: invalid UTF-8 at byte 1 (invalid start byte)",
         "line 5: invalid UTF-8 at byte 4 (invalid start byte)",
     ]
-    header = b"entity_id,cd,c,sc,h\xff\nx,1,1,0,1\n"
-    with pytest.raises(CorpusParseError, match="^line 1: invalid UTF-8"):
+    header = tmp_path / "header.csv"
+    header.write_bytes(b"entity_id,cd,c,sc,h\xff\nx,1,1,0,1\n")
+    with pytest.raises(CorpusParseError, match="^header.csv, line 1: invalid UTF-8"):
         read_aggregate_csv(header)
     assert audit_aggregate(header).errors == [
         "line 1: invalid UTF-8 at byte 20 (invalid start byte)"
@@ -1076,16 +1118,18 @@ CSV_HEADER = "entity_id,cd,c,sc,h"
         pytest.param([f"{'x' * 131073},cd,c,sc,h"], CorpusParseError, id="header-field-limit"),
     ],
 )
-def test_aggregate_csv_strict_and_audit_agree(lines, error):
+def test_aggregate_csv_strict_and_audit_agree(write_input, lines, error):
+    path = write_input(lines)
     with pytest.raises(error) as excinfo:
-        read_aggregate_csv(lines)
+        read_aggregate_csv(path)
     assert type(excinfo.value) is error
-    assert audit_aggregate(lines).errors == [str(excinfo.value)]
+    (first,) = audit_aggregate(path).errors
+    assert str(excinfo.value) == f"{path.name}, {first}"
 
 
-def test_aggregate_csv_audit_reads_on_after_an_oversized_field():
-    lines = [CSV_HEADER, f"{'x' * 131073},1,1,0,1", "ok,1,1,0,1", "sc,5,10,20,3"]
-    assert audit_aggregate(lines).errors == [
+def test_aggregate_csv_audit_reads_on_after_an_oversized_field(write_input):
+    path = write_input([CSV_HEADER, f"{'x' * 131073},1,1,0,1", "ok,1,1,0,1", "sc,5,10,20,3"])
+    assert audit_aggregate(path).errors == [
         "line 2: field larger than field limit (131072)",
         "line 4: entity 'sc': self_citations (20) exceed citations_total (10)",
     ]
@@ -1137,12 +1181,15 @@ def test_aggregate_csv_audit_reads_on_after_an_oversized_field():
         ),
     ],
 )
-def test_aggregate_csv_audit_stops_after_an_oversized_field_only_inside_open_quotes(lines, errors):
+def test_aggregate_csv_audit_stops_after_an_oversized_field_only_inside_open_quotes(
+    write_input, lines, errors
+):
     # Past an open quote the rest of the field would be read as rows.
-    assert audit_aggregate(lines).errors == errors
+    path = write_input(lines)
+    assert audit_aggregate(path).errors == errors
     with pytest.raises(CorpusParseError) as excinfo:
-        read_aggregate_csv(lines)
-    assert str(excinfo.value) == errors[0]
+        read_aggregate_csv(path)
+    assert str(excinfo.value) == f"{path.name}, {errors[0]}"
 
 
 @pytest.mark.parametrize(
@@ -1210,11 +1257,7 @@ def test_strict_error_is_the_first_audit_error_placed_in_its_file(tmp_path, name
     assert first.startswith(f"line {line}: ")
     with pytest.raises(kind) as excinfo:
         read(path)
-    assert (excinfo.value.line, excinfo.value.source) == (line, name)
     assert str(excinfo.value) == f"{name}, {first}"
-    with pytest.raises(kind) as excinfo:
-        read(data)
-    assert (excinfo.value.line, excinfo.value.source, str(excinfo.value)) == (line, None, first)
 
 
 def test_open_quote_scan_agrees_with_the_csv_module():
@@ -1228,39 +1271,17 @@ def test_open_quote_scan_agrees_with_the_csv_module():
         assert _quote_left_open(text) == (rows[-1] != ["Z", "Z"]), repr(text)
 
 
-def test_aggregate_csv_reads_counts_up_to_2_to_the_53():
+def test_aggregate_csv_reads_counts_up_to_2_to_the_53(write_input):
     top = 2**53
     rows = read_aggregate_csv(
-        [CSV_HEADER, f"top,{top},{top},{top},{top}", f"zeros,{'0' * 5000}1,{top:020d},0,1"]
+        write_input(
+            [CSV_HEADER, f"top,{top},{top},{top},{top}", f"zeros,{'0' * 5000}1,{top:020d},0,1"]
+        )
     )
     assert rows == [
         ("top", CitationCounts(top, top, top, top)),
         ("zeros", CitationCounts(top, 0, 1, 1)),
     ]
-
-
-def test_readers_locate_a_bad_byte_in_a_text_stream(tmp_path):
-    corpus = tmp_path / "bad.jsonl"
-    corpus.write_bytes(b'{"id": "p1", "authors": ["a"]}\n{"id": "p2", "authors": ["\xff"]}\n')
-    table = tmp_path / "bad.csv"
-    table.write_bytes(b"entity_id,cd,c,sc,h\nx,1,1,0,1\ny\xff,1,1,0,1\n")
-    for path, read, audit, message in (
-        (corpus, ingest_corpus, audit_corpus, "line 2: invalid UTF-8 at byte 27"),
-        (table, read_aggregate_csv, audit_aggregate, "line 3: invalid UTF-8 at byte 2"),
-    ):
-        with open(path, encoding="utf-8") as handle:
-            with pytest.raises(CorpusParseError) as excinfo:
-                read(handle)
-        assert str(excinfo.value).startswith(f"{path.name}, {message} ")
-        with open(path, encoding="utf-8") as handle:
-            assert audit(handle).errors == [f"{message} (invalid start byte)"]
-
-
-def test_readers_keep_the_encoding_of_a_text_stream(tmp_path):
-    path = tmp_path / "latin.jsonl"
-    path.write_bytes(b'{"id": "p1", "authors": ["Jos\xe9"]}\n')
-    with open(path, encoding="latin-1") as handle:
-        assert ingest_corpus(handle).papers["p1"].authors == ("José",)
 
 
 def test_every_source_kind_reads_and_audits_alike(tmp_path):
@@ -1274,11 +1295,10 @@ def test_every_source_kind_reads_and_audits_alike(tmp_path):
         + "{oops\n",
         encoding="utf-8",
     )
-    lines = corpus.read_text(encoding="utf-8").split("\n")
     duplicate = "line 3: duplicate paper id 'p2'"
-    assert read_every_source_kind(ingest_corpus, corpus, lines) == [
-        (CorpusIntegrityError, 3, duplicate)
-    ] * 6
+    with pytest.raises(CorpusIntegrityError) as excinfo:
+        ingest_corpus(corpus)
+    assert str(excinfo.value) == f"corpus.jsonl, {duplicate}"
     audit = AuditReport(
         errors=[duplicate, "line 4: invalid JSON (Expecting property name enclosed in double quotes)"],
         warnings=[
@@ -1287,23 +1307,20 @@ def test_every_source_kind_reads_and_audits_alike(tmp_path):
             "1 paper(s) have no venue; their citations count as genuine",
         ],
     )
-    journal_audit = lambda source: audit_corpus(source, "journal")  # noqa: E731
-    assert read_every_source_kind(journal_audit, corpus, lines) == [audit] * 6
+    assert audit_corpus(corpus, "journal") == audit
 
     table = tmp_path / "agg.csv"
     table.write_bytes(
         b'entity_id,cd,c,sc,h\r\n"Multi\r\nLine",3,10,2,2\r\nx,1,1,0,1\r\n'
         b"x,2,2,0,1\ry,1,2,3,1\r\n"
     )
-    lines = table.read_bytes().decode("utf-8").splitlines(keepends=True)
     duplicate = "line 5: duplicate entity 'x'"
-    assert read_every_source_kind(read_aggregate_csv, table, lines) == [
-        (CorpusIntegrityError, 5, duplicate)
-    ] * 6
-    audit = AuditReport(
+    with pytest.raises(CorpusIntegrityError) as excinfo:
+        read_aggregate_csv(table)
+    assert str(excinfo.value) == f"agg.csv, {duplicate}"
+    assert audit_aggregate(table) == AuditReport(
         errors=[duplicate, "line 6: entity 'y': self_citations (3) exceed citations_total (2)"]
     )
-    assert read_every_source_kind(audit_aggregate, table, lines) == [audit] * 6
 
 
 def test_aggregate_csv_reports_physical_line_numbers(tmp_path):
@@ -1321,15 +1338,15 @@ def test_aggregate_csv_reports_physical_line_numbers(tmp_path):
 # audits
 # ---------------------------------------------------------------------------
 
-def test_audit_clean_corpus(handmade):
-    report = audit_corpus(HANDMADE.splitlines())
+def test_audit_clean_corpus(write_input):
+    report = audit_corpus(write_input(HANDMADE))
     assert report.ok
     assert report.errors == []
     assert report.warnings == []
 
 
-def test_audit_collects_multiple_errors():
-    text = "\n".join(
+def test_audit_collects_multiple_errors(write_input):
+    path = write_input(
         [
             '{"id": "p1", "authors": ["a"]}',
             "{broken",
@@ -1337,48 +1354,45 @@ def test_audit_collects_multiple_errors():
             '{"id": "p3"}',
         ]
     )
-    report = audit_corpus(text.splitlines())
+    report = audit_corpus(path)
     assert not report.ok
     assert len(report.errors) == 3
     assert any("line 2" in message for message in report.errors)
     assert any("duplicate" in message and "p1" in message for message in report.errors)
 
 
-def test_audit_warns_without_failing():
-    text = "\n".join(
-        [
-            '{"id": "p1", "authors": ["a"], "refs": ["p1", "ghost"]}',
-        ]
-    )
-    report = audit_corpus(text.splitlines())
+def test_audit_warns_without_failing(write_input):
+    report = audit_corpus(write_input(['{"id": "p1", "authors": ["a"], "refs": ["p1", "ghost"]}']))
     assert report.ok
     assert any("cites itself" in message for message in report.warnings)
     assert any("outside the corpus" in message for message in report.warnings)
 
 
-def test_audit_journal_mode_flags_missing_venue():
-    text = '{"id": "p1", "authors": ["a"]}'
-    report = audit_corpus([text], mode="journal")
+def test_audit_journal_mode_flags_missing_venue(write_input):
+    path = write_input(['{"id": "p1", "authors": ["a"]}'])
+    report = audit_corpus(path, mode="journal")
     assert report.ok
     assert any("venue" in message for message in report.warnings)
     # author mode does not care
-    assert audit_corpus([text], mode="author").warnings == []
+    assert audit_corpus(path, mode="author").warnings == []
 
 
-def test_audit_aggregate_clean():
-    report = audit_aggregate(["entity_id,cd,c,sc,h", "x,5,10,2,3"])
+def test_audit_aggregate_clean(write_input):
+    report = audit_aggregate(write_input(["entity_id,cd,c,sc,h", "x,5,10,2,3"]))
     assert report.ok and report.warnings == []
 
 
-def test_audit_aggregate_collects_problems():
+def test_audit_aggregate_collects_problems(write_input):
     report = audit_aggregate(
-        [
-            "entity_id,cd,c,sc,h",
-            "x,5,10,20,3",
-            "y,1,1,0,1",
-            "y,2,1,0,1",
-            "z,1,one,0,1",
-        ]
+        write_input(
+            [
+                "entity_id,cd,c,sc,h",
+                "x,5,10,20,3",
+                "y,1,1,0,1",
+                "y,2,1,0,1",
+                "z,1,one,0,1",
+            ]
+        )
     )
     assert not report.ok
     assert len(report.errors) == 3
@@ -1386,7 +1400,7 @@ def test_audit_aggregate_collects_problems():
     assert any("duplicate" in message for message in report.errors)
 
 
-def test_audit_aggregate_bad_header():
-    report = audit_aggregate(["wrong,header", "x,1,1,0,1"])
+def test_audit_aggregate_bad_header(write_input):
+    report = audit_aggregate(write_input(["wrong,header", "x,1,1,0,1"]))
     assert not report.ok
     assert "header" in report.errors[0]
