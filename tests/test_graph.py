@@ -8,6 +8,7 @@ import hashlib
 import io
 import json
 import random
+import shutil
 import sys
 import tracemalloc
 
@@ -425,14 +426,37 @@ def test_ingest_keeps_escaped_pairs_and_other_escapes(write_input):
     assert audit_corpus(path).ok
 
 
-def test_readers_refuse_a_raw_lone_surrogate_in_text(write_input):
-    # The bytes that encode U+D800 as if it were a character: a str can
-    # hold it, but UTF-8 may not, and neither may a JSON escape of it.
+def _write_lines(path, lines):
+    path.write_bytes("".join(lines).encode("utf-8", "surrogatepass"))
+
+
+def _write_stringio(path, lines):
+    with path.open("w", encoding="utf-8", errors="surrogatepass", newline="") as file:
+        shutil.copyfileobj(io.StringIO("".join(lines)), file)
+
+
+@pytest.mark.parametrize(
+    "write",
+    [pytest.param(_write_lines, id="lines"), pytest.param(_write_stringio, id="stringio")],
+)
+def test_readers_refuse_a_raw_lone_surrogate_in_text(tmp_path, write):
+    # A real U+D800 in the string, not a JSON escape of one: a str can hold
+    # it, and a program that writes that text with "surrogatepass", as lines
+    # or from a text stream, leaves bytes that UTF-8 may not hold.
+    def write_input(name, lines):
+        path = tmp_path / name
+        write(path, lines)
+        return path
+
     corpus = write_input(
-        b'{"id": "p1", "authors": ["a"]}\n'
-        b'{"id": "p2", "authors": ["b\xed\xa0\x80"]}\n'
-        b'{"id": "p3", "authors": ["c"], "refs": ["p3", "p1"]}\n'
+        "corpus.jsonl",
+        [
+            '{"id": "p1", "authors": ["a"]}\n',
+            '{"id": "p2", "authors": ["b\ud800"]}\n',
+            '{"id": "p3", "authors": ["c"], "refs": ["p3", "p1"]}\n',
+        ],
     )
+    assert b"\xed\xa0\x80" in corpus.read_bytes()
     error = "line 2: invalid UTF-8 at byte 28 (invalid continuation byte)"
     with pytest.raises(CorpusParseError) as excinfo:
         ingest_corpus(corpus)
@@ -442,9 +466,9 @@ def test_readers_refuse_a_raw_lone_surrogate_in_text(write_input):
         errors=[error],
         warnings=["line 3: paper 'p3' cites itself (1 entry(ies) stripped)"],
     )
-    table = write_input(
-        f"{CSV_HEADER}\n".encode() + b"x\xed\xb2\x80,1,1,0,1\nok,1,1,0,1\nsc,5,10,20,3\n"
-    )
+    lines = [f"{CSV_HEADER}\n", "x\udc80,1,1,0,1\n", "ok,1,1,0,1\n", "sc,5,10,20,3\n"]
+    table = write_input("table.csv", lines)
+    assert b"x\xed\xb2\x80," in table.read_bytes()
     error = "line 2: invalid UTF-8 at byte 2 (invalid continuation byte)"
     with pytest.raises(CorpusParseError) as excinfo:
         read_aggregate_csv(table)
@@ -453,7 +477,7 @@ def test_readers_refuse_a_raw_lone_surrogate_in_text(write_input):
         error,
         "line 4: entity 'sc': self_citations (20) exceed citations_total (10)",
     ]
-    assert read_aggregate_csv(write_input([CSV_HEADER, "ok,1,1,0,1"])) == [
+    assert read_aggregate_csv(write_input("ok.csv", [lines[0], lines[2]])) == [
         ("ok", CitationCounts(1, 0, 1, 1))
     ]
 
