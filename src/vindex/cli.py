@@ -35,10 +35,16 @@ __all__ = ["EXIT_OK", "EXIT_READ", "EXIT_DATA", "main"]
 # ---------------------------------------------------------------------------
 
 def _emit(text: str, output_path: Path | None) -> None:
-    if output_path is None:
-        sys.stdout.write(text)
+    """Write ``text`` as UTF-8 to ``output_path``, or to stdout when it is
+    None, whatever the encoding of ``sys.stdout``. A stdout with no byte
+    buffer under it, such as ``io.StringIO``, takes the text itself."""
+    if output_path is not None:
+        output_path.write_bytes(text.encode("utf-8"))
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
     else:
-        output_path.write_text(text, encoding="utf-8")
+        sys.stdout.write(text)
 
 
 def _warn(message: str) -> None:
@@ -101,7 +107,7 @@ def _validate(args: argparse.Namespace) -> int:
     lines = [f"error: {message}" for message in report.errors]
     lines += [f"warning: {message}" for message in report.warnings]
     lines.append(f"{len(report.errors)} error(s), {len(report.warnings)} warning(s)")
-    print("\n".join(lines))
+    _emit("\n".join(lines) + "\n", None)
     return EXIT_OK if report.ok else EXIT_DATA
 
 

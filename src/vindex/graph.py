@@ -30,7 +30,6 @@ import re
 import sys
 from bisect import insort
 from collections import defaultdict
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Literal, NamedTuple
 
@@ -74,8 +73,7 @@ __all__ = [
 # value types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Paper:
+class Paper(NamedTuple):
     """One publication node: identity, ownership, venue, and outgoing references."""
 
     id: str
@@ -85,19 +83,23 @@ class Paper:
     refs: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
 class Corpus:
-    """An immutable set of papers keyed by id.
+    """A set of papers keyed by id.
 
     ``self_loops`` counts the self-references ``ingest_corpus`` stripped
     from refs.
     """
 
-    papers: dict[str, Paper]
-    self_loops: int = 0
+    __slots__ = ("papers", "self_loops")
 
-    def __iter__(self) -> Iterator[Paper]:
-        return iter(self.papers.values())
+    def __init__(self, papers: dict[str, Paper], self_loops: int = 0) -> None:
+        self.papers = papers
+        self.self_loops = self_loops
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.papers, self.self_loops) == (other.papers, other.self_loops)
 
     @property
     def dangling_refs(self) -> int:
@@ -128,8 +130,7 @@ class PaperCitations(NamedTuple):
     self_citations_received: int
 
 
-@dataclass(frozen=True)
-class EntityAggregate:
+class EntityAggregate(NamedTuple):
     """Citation statistics for one author or venue over a full corpus.
 
     ``h`` is the h-index over raw received counts and ``h_star`` the h-index
@@ -171,35 +172,23 @@ def _decode(raw: bytes) -> str:
 
 
 def _csv_lines(
-    lines: Iterable[bytes], bad: list[tuple[int, CorpusParseError]], record: list[str]
+    lines: Iterable[str], bad: list[tuple[int, CorpusParseError]], record: list[str]
 ) -> Iterator[str]:
-    """Text lines for ``csv.reader``, split where text mode with
-    ``newline=""`` splits them: each byte line is split again at bare
-    carriage returns and decoded. An undecodable line goes into ``bad``
-    with its number and on to the reader with replacement characters, so
-    the reader keeps its place and the caller can reject the row it lands
-    in. Each line is also appended to ``record``, emptied at every row."""
-    line_no = 0
-    for chunk in lines:
-        try:
-            text = chunk.decode("utf-8")
-        except UnicodeDecodeError:
-            pass
-        else:
-            if "\r" not in text:
-                line_no += 1
-                record.append(text)
-                yield text
-                continue
-        for piece in chunk.splitlines(keepends=True):
-            line_no += 1
+    """The lines of a file read as UTF-8 with ``surrogateescape``, for
+    ``csv.reader``. A line with an undecodable byte goes into ``bad`` with
+    its number and on to the reader with replacement characters, so the
+    reader keeps its place and the caller can reject the row it lands in.
+    Each line is also appended to ``record``, emptied at every row."""
+    for line_no, text in enumerate(lines, start=1):
+        if not text.isascii():
+            raw = text.encode("utf-8", "surrogateescape")
             try:
-                text = _decode(piece)
+                _decode(raw)
             except CorpusParseError as exc:
                 bad.append((line_no, exc))
-                text = piece.decode("utf-8", "replace")
-            record.append(text)
-            yield text
+                text = raw.decode("utf-8", "replace")
+        record.append(text)
+        yield text
 
 
 def _string_list(value: object, what: str) -> list[str]:
@@ -337,7 +326,7 @@ def serialize_corpus(corpus: Corpus) -> str:
     compose to the identity on anything ingest accepts.
     """
     lines = []
-    for paper in corpus:
+    for paper in corpus.papers.values():
         record: dict[str, object] = {"id": paper.id, "authors": list(paper.authors)}
         if paper.venue is not None:
             record["venue"] = paper.venue
@@ -392,7 +381,7 @@ def aggregate_all(corpus: Corpus, mode: Mode) -> list[EntityAggregate]:
     _check_mode(mode)
     received = _received_counts(corpus, mode)
     owned: dict[str, list[PaperCitations]] = {}
-    for paper in corpus:
+    for paper in corpus.papers.values():
         if mode == "author":
             keys: Iterable[str] = dict.fromkeys(paper.authors)
         else:
@@ -604,7 +593,7 @@ def _csv_rows(reader, record: list[str]) -> Iterator[list[str] | CorpusParseErro
 
 
 def _aggregate_rows(
-    lines: Iterable[bytes],
+    lines: Iterable[str],
 ) -> Iterator[tuple[int, tuple[str, CitationCounts] | None, VindexError | None]]:
     """The one pass over aggregate CSV lines, shared by
     ``read_aggregate_csv`` and ``audit_aggregate``: each data row's line,
@@ -662,7 +651,7 @@ def read_aggregate_csv(source: str | Path) -> list[tuple[str, CitationCounts]]:
     """
     path = Path(source)
     rows: list[tuple[str, CitationCounts]] = []
-    with open(path, "rb") as lines:
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as lines:
         for line, row, error in _aggregate_rows(lines):
             if error is not None:
                 raise _at(error, line, path.name)
@@ -680,12 +669,11 @@ def write_aggregate_csv(aggregates: Iterable[EntityAggregate]) -> str:
 # validation without aborting
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AuditReport:
+class AuditReport(NamedTuple):
     """Outcome of a validation pass: hard errors plus advisory warnings."""
 
-    errors: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+    errors: list[str]
+    warnings: list[str]
 
     @property
     def ok(self) -> bool:
@@ -702,7 +690,7 @@ def audit_corpus(source: str | Path, mode: Mode = "author") -> AuditReport:
     without a venue.
     """
     _check_mode(mode)
-    report = AuditReport()
+    report = AuditReport([], [])
     papers: dict[str, Paper] = {}
     with open(Path(source), "rb") as lines:
         for line, paper, loops, error in _corpus_records(lines):
@@ -731,6 +719,6 @@ def audit_aggregate(source: str | Path) -> AuditReport:
     invariants. The audit policy over the CSV pass that
     ``read_aggregate_csv`` reads: it collects every error instead of
     raising the first."""
-    with open(Path(source), "rb") as lines:
+    with open(Path(source), encoding="utf-8", errors="surrogateescape", newline="") as lines:
         rows = _aggregate_rows(lines)
-        return AuditReport([str(_at(error, line)) for line, _, error in rows if error])
+        return AuditReport([str(_at(error, line)) for line, _, error in rows if error], [])

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import DomainError
 
@@ -37,11 +36,14 @@ __all__ = [
 # value types
 # ---------------------------------------------------------------------------
 
-_COUNT_FIELDS = ("citations_total", "self_citations", "citable_documents", "h_index")
+class _CountFields(NamedTuple):
+    citations_total: int
+    self_citations: int
+    citable_documents: int
+    h_index: int
 
 
-@dataclass(frozen=True)
-class CitationCounts:
+class CitationCounts(_CountFields):
     """Aggregate citation statistics for one author, venue, or country.
 
     ``citations_total`` (C) counts every citation received, ``self_citations``
@@ -50,34 +52,30 @@ class CitationCounts:
     observed over all citations, self-citations included.
     """
 
-    citations_total: int
-    self_citations: int
-    citable_documents: int
-    h_index: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        c, sc = self.citations_total, self.self_citations
-        cd, h = self.citable_documents, self.h_index
+    def __new__(
+        cls, citations_total: int, self_citations: int, citable_documents: int, h_index: int
+    ) -> CitationCounts:
+        self = tuple.__new__(cls, (citations_total, self_citations, citable_documents, h_index))
+        c, sc, cd, h = self
         # Exact ints that hold every invariant pass at once; anything else,
         # int subclasses included, takes the field walk, which words the error.
         if type(c) is type(sc) is type(cd) is type(h) is int and 0 <= sc <= c and 0 <= h <= cd:
-            return
-        for name in _COUNT_FIELDS:
-            value = getattr(self, name)
+            return self
+        for name, value in zip(self._fields, self):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise DomainError(f"{name} must be an integer, got {value!r}")
             if value < 0:
                 raise DomainError(f"{name} must be >= 0, got {value}")
-        if self.self_citations > self.citations_total:
-            raise DomainError(
-                f"self_citations ({self.self_citations}) exceed "
-                f"citations_total ({self.citations_total})"
-            )
-        if self.h_index > self.citable_documents:
-            raise DomainError(
-                f"h_index ({self.h_index}) exceeds "
-                f"citable_documents ({self.citable_documents})"
-            )
+        if sc > c:
+            raise DomainError(f"self_citations ({sc}) exceed citations_total ({c})")
+        if h > cd:
+            raise DomainError(f"h_index ({h}) exceeds citable_documents ({cd})")
+        return self
+
+    # ``_replace`` builds through ``_make``, so it checks as the constructor does.
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
 # Each named kind is its own spec and maps to its f.
@@ -89,8 +87,12 @@ _POWER_PATTERN = re.compile(r"x\^(?:([0-9]+)|\(1/([0-9]+)\))")
 _MAX_EXPONENT = 10**308
 
 
-@dataclass(frozen=True)
-class WeightFunction:
+class _WeightFields(NamedTuple):
+    kind: str
+    exponent: int | None
+
+
+class WeightFunction(_WeightFields):
     """A discount weight f mapping [0, 1] into [0, 1].
 
     The family is closed by construction: the canonical square root, the
@@ -101,18 +103,21 @@ class WeightFunction:
     penalized.
     """
 
-    kind: str
-    exponent: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind in _POWER_KINDS:
-            exp = self.exponent
+    def __new__(cls, kind: str, exponent: int | None = None) -> WeightFunction:
+        if kind in _POWER_KINDS:
+            exp = exponent
             if isinstance(exp, bool) or not isinstance(exp, int) or not 2 <= exp < _MAX_EXPONENT:
                 raise DomainError("power weights need an integer exponent >= 2 and < 10**308")
-        elif self.kind not in _NAMED_WEIGHTS:
-            raise DomainError(f"unknown weight kind {self.kind!r}")
-        elif self.exponent is not None:
-            raise DomainError(f"weight kind {self.kind!r} takes no exponent")
+        elif kind not in _NAMED_WEIGHTS:
+            raise DomainError(f"unknown weight kind {kind!r}")
+        elif exponent is not None:
+            raise DomainError(f"weight kind {kind!r} takes no exponent")
+        return tuple.__new__(cls, (kind, exponent))
+
+    # ``_replace`` builds through ``_make``, so it checks as the constructor does.
+    _make = classmethod(lambda cls, values: cls(*values))
 
     # -- constructors -------------------------------------------------------
 
@@ -173,8 +178,7 @@ class WeightFunction:
         return _NAMED_WEIGHTS[self.kind](x)
 
 
-@dataclass(frozen=True)
-class MetricsRow:
+class MetricsRow(NamedTuple):
     """Every derived metric for one entity, ready for ranking and rendering.
 
     ``h_star`` is the h-index recomputed after dropping self-citations from

@@ -675,15 +675,52 @@ def test_compare_aggregate_input(aggregate_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# stdout encoding
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+def test_stdout_is_utf8_whatever_its_encoding(encoding, tmp_path):
+    corpus = tmp_path / "names.jsonl"
+    corpus.write_text(
+        '{"id": "p1", "authors": ["Müller"], "venue": "Zürich"}\n'
+        '{"id": "p2", "authors": ["Ødegård", "Müller"], "refs": ["p1"]}\n',
+        encoding="utf-8",
+    )
+    duplicate = tmp_path / "duplicate.jsonl"
+    duplicate.write_text('{"id": "ü", "authors": ["a"]}\n' * 2, encoding="utf-8")
+    src = str(Path(vindex.__file__).resolve().parent.parent)
+
+    def run(argv, io_encoding):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING=io_encoding)
+        command = [sys.executable, "-m", "vindex", *argv]
+        return subprocess.run(command, env=env, capture_output=True, check=False)
+
+    for argv, code, text in [
+        (["metrics", "--input", str(corpus)], EXIT_OK, "Ødegård"),
+        (["compare", "--input", str(corpus)], EXIT_OK, "Müller"),
+        (["validate", "--input", str(duplicate)], EXIT_DATA, "duplicate paper id 'ü'"),
+    ]:
+        utf8 = run(argv, "utf-8")
+        assert utf8.returncode == code and text in utf8.stdout.decode("utf-8")
+        other = run(argv, encoding)
+        assert (other.returncode, other.stdout) == (code, utf8.stdout), other.stderr
+        if argv[0] != "validate":
+            output = tmp_path / "output.csv"
+            assert run([*argv, "--output", str(output)], encoding).returncode == code
+            assert output.read_bytes() == utf8.stdout
+
+
+# ---------------------------------------------------------------------------
 # runtime dependencies
 # ---------------------------------------------------------------------------
 
 def test_import_loads_no_numpy_or_scipy():
     # nor logging: warnings are the CLI's to print, so the library keeps none;
-    # nor statistics and the fractions it pulls in, which batch_stats does without
+    # nor statistics and the fractions it pulls in, which batch_stats does without;
+    # nor dataclasses and the inspect it pulls in: the records are named tuples
     src = str(Path(vindex.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    absent = ("numpy", "scipy", "logging", "statistics", "fractions")
+    absent = ("numpy", "scipy", "logging", "statistics", "fractions", "dataclasses", "inspect")
     probe = (
         "import sys, vindex, vindex.cli\n"
         f"print(sorted(m for m in sys.modules if m.split('.')[0] in {absent!r}))"

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -130,7 +129,7 @@ def test_ingest_keeps_a_raw_u2028_inside_a_string(tmp_path):
     corpus = ingest_corpus(path)
     assert corpus.papers["q1"].authors == ("Line\u2028Separator",)
     assert corpus.papers["q2"].authors == ("Next\u0085Line",)
-    assert audit_corpus(path) == AuditReport()
+    assert audit_corpus(path) == AuditReport([], [])
 
 
 def test_ingest_accepts_crlf_line_endings(tmp_path):
@@ -266,7 +265,7 @@ def test_ingest_shares_each_ref_with_the_id_it_names(write_input, handmade):
 def test_ingest_shares_an_author_and_a_venue_across_papers(handmade):
     authors = {}
     venues = {}
-    for paper in handmade:
+    for paper in handmade.papers.values():
         for name in paper.authors:
             assert authors.setdefault(name, name) is name
         assert venues.setdefault(paper.venue, paper.venue) is paper.venue
@@ -276,8 +275,8 @@ def test_ingest_shares_an_author_and_a_venue_across_papers(handmade):
 
 def test_synthetic_refs_are_the_ids_of_their_papers():
     corpus = generate_synthetic_corpus(9, 300, 20, 0.4)
-    assert sum(len(paper.refs) for paper in corpus) > 300
-    for paper in corpus:
+    assert sum(len(paper.refs) for paper in corpus.papers.values()) > 300
+    for paper in corpus.papers.values():
         for ref in paper.refs:
             assert ref is corpus.papers[ref].id
 
@@ -305,7 +304,7 @@ def test_a_shared_ref_costs_a_pointer_not_a_string(write_input):
 
     bare, _ = held(write_input(lines(0)))
     full, corpus = held(write_input(lines(20)))
-    n_refs = sum(len(paper.refs) for paper in corpus)
+    n_refs = sum(len(paper.refs) for paper in corpus.papers.values())
     assert n_refs == 19_790
     # Measured at 9.7 bytes per ref: the tuple slot plus a share of the
     # tuple. A string of its own per ref costs about 60 more.
@@ -319,8 +318,8 @@ def test_paper_keeps_its_value_semantics_with_slots():
     assert repr(paper) == (
         "Paper(id='p1', authors=('a', 'b'), venue='J', year=2001, refs=('p0',))"
     )
-    assert dataclasses.replace(paper, year=2002) == Paper("p1", ("a", "b"), "J", 2002, ("p0",))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    assert paper._replace(year=2002) == Paper("p1", ("a", "b"), "J", 2002, ("p0",))
+    with pytest.raises(AttributeError):
         paper.year = 2002
     assert not hasattr(paper, "__dict__")
 
@@ -746,7 +745,7 @@ def test_synthetic_seeds_differ():
 def test_synthetic_single_paper():
     corpus = generate_synthetic_corpus(1, 1, 1, 0.0)
     assert len(corpus.papers) == 1
-    (paper,) = list(corpus)
+    (paper,) = corpus.papers.values()
     assert paper.refs == ()
     assert paper.authors == ("a001",)
 
@@ -756,7 +755,7 @@ def test_synthetic_structure():
     assert len(corpus.papers) == 80
     assert corpus.dangling_refs == 0
     pool = {f"a{i:03d}" for i in range(1, 13)}
-    for paper in corpus:
+    for paper in corpus.papers.values():
         assert 1 <= len(paper.authors) <= 4
         assert set(paper.authors) <= pool
         assert len(set(paper.authors)) == len(paper.authors)
@@ -799,7 +798,7 @@ def test_synthetic_matches_the_reference_generator_for_large_pools():
 def test_synthetic_cost_does_not_follow_the_author_pool():
     corpus = generate_synthetic_corpus(1, 50, 10**12, 0.3)
     names = {}
-    for paper in corpus:
+    for paper in corpus.papers.values():
         for name in paper.authors:
             assert names.setdefault(name, name) is name
     assert len(corpus.papers) == 50
@@ -1071,7 +1070,7 @@ def test_aggregate_csv_keeps_a_quoted_newline(tmp_path):
     path.write_text(text, encoding="utf-8")
     rows = read_aggregate_csv(path)
     assert [entity for entity, _ in rows] == ["Multi\nLine", "Single"]
-    assert audit_aggregate(path) == AuditReport()
+    assert audit_aggregate(path) == AuditReport([], [])
 
 
 def test_aggregate_csv_reads_bare_carriage_returns(tmp_path):
@@ -1343,7 +1342,8 @@ def test_every_source_kind_reads_and_audits_alike(tmp_path):
         read_aggregate_csv(table)
     assert str(excinfo.value) == f"agg.csv, {duplicate}"
     assert audit_aggregate(table) == AuditReport(
-        errors=[duplicate, "line 6: entity 'y': self_citations (3) exceed citations_total (2)"]
+        errors=[duplicate, "line 6: entity 'y': self_citations (3) exceed citations_total (2)"],
+        warnings=[],
     )
 
 

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -297,6 +298,40 @@ def test_citation_counts_validation(kwargs):
         CitationCounts(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "valid, change",
+    [
+        (CitationCounts(5, 0, 2, 1), dict(citations_total=-1)),
+        (CitationCounts(5, 0, 2, 1), dict(self_citations=6)),
+        (CitationCounts(5, 0, 2, 1), dict(h_index=3)),
+        (CitationCounts(5, 0, 2, 1), dict(citations_total=5.0)),
+        (WeightFunction.sqrt(), dict(kind="cube")),
+        (WeightFunction.sqrt(), dict(exponent=2)),
+        (WeightFunction.convex(2), dict(exponent=1)),
+    ],
+)
+def test_replace_and_make_check_as_the_constructor_does(valid, change):
+    values = {**valid._asdict(), **change}
+    with pytest.raises(DomainError) as built:
+        type(valid)(**values)
+    with pytest.raises(DomainError) as replaced:
+        valid._replace(**change)
+    with pytest.raises(DomainError) as made:
+        type(valid)._make(values.values())
+    assert str(replaced.value) == str(made.value) == str(built.value)
+
+
+@pytest.mark.parametrize(
+    "value", [CitationCounts(5, 1, 3, 2), WeightFunction.sqrt(), WeightFunction.concave(3)]
+)
+def test_checked_records_round_trip_through_pickle_and_copy(value):
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(twin) is type(value) and twin == value
+    with pytest.raises(AttributeError):
+        value.kind = "unity"
+    assert not hasattr(value, "__dict__")
+
+
 def test_metrics_row_assembles_everything():
     counts = CitationCounts(
         citations_total=100, self_citations=20, citable_documents=25, h_index=5
@@ -340,7 +375,7 @@ def test_metrics_row_carries_h_star():
     )
     row = metrics_row("someone", counts, h_star=4)
     assert row.h_star == 4
-    assert row == dataclasses.replace(metrics_row("someone", counts), h_star=4)
+    assert row == metrics_row("someone", counts)._replace(h_star=4)
 
 
 def test_metrics_row_requires_documents():
