@@ -36,12 +36,8 @@ def load_journal_rows():
                 citable_documents=int(record["cd"]),
                 h_index=int(record["h"]),
             )
-            rows.append(counts_pair(record["entity_id"], counts))
+            rows.append((record["entity_id"], counts))
     return rows
-
-
-def counts_pair(entity_id, counts):
-    return entity_id, counts
 
 
 def main() -> None:
@@ -64,7 +60,8 @@ def main() -> None:
     print(f"  {flagged} of {len(pairs)} flagged for review")
     print()
 
-    plain = rank([metrics_row(name, counts, WeightFunction.unity()) for name, counts in pairs], "v_index")
+    unity = WeightFunction.parse("unity")
+    plain = rank([metrics_row(name, counts, unity) for name, counts in pairs], "v_index")
     position_plain = {item.row.entity_id: item.rank_by_v for item in plain.rows}
     position_discounted = {item.row.entity_id: item.rank_by_v for item in discounted.rows}
     movers = sorted(

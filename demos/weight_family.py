@@ -15,28 +15,24 @@ Run from the repository root:
 
 from __future__ import annotations
 
-from vindex.metrics import WeightFunction, generalized_v_index
+from vindex.metrics import WeightFunction
 
 RATES = [1.0, 0.95, 0.9, 0.8, 0.65, 0.5, 0.3, 0.1, 0.0]
 
 WEIGHTS = [
-    ("unity", WeightFunction.unity()),
-    ("x^3 (convex)", WeightFunction.convex(3)),
-    ("x^2 (convex)", WeightFunction.convex(2)),
-    ("linear", WeightFunction.linear()),
-    ("sqrt", WeightFunction.sqrt()),
-    ("x^(1/3) (concave)", WeightFunction.concave(3)),
+    (spec, WeightFunction.parse(spec))
+    for spec in ("unity", "x^3", "x^2", "linear", "sqrt", "x^(1/3)")
 ]
 
 
 def show_worked_examples() -> None:
     print("Worked examples")
     print("---------------")
-    root = WeightFunction.sqrt()
+    root = WeightFunction.parse("sqrt")
     print(f"  sqrt:    f(0.800) = {root(0.8):.3f}   (mild: 20% self-citations cost ~10.6% of h)")
-    cube = WeightFunction.convex(3)
+    cube = WeightFunction.parse("x^3")
     print(f"  x^3:     f(0.800) = {cube(0.8):.3f}   (harsh: the same record loses nearly half)")
-    cube_root = WeightFunction.concave(3)
+    cube_root = WeightFunction.parse("x^(1/3)")
     print(f"  x^(1/3): f(0.512) = {cube_root(0.512):.3f}   (lenient: even 48.8% genuine keeps 80%)")
     print()
 
@@ -61,7 +57,7 @@ def show_effect_on_h() -> None:
     h, rate = 30, 0.75
     print(f"  h = {h}, V_rate = {rate} (one citation in four comes from the authors themselves)")
     for name, weight in WEIGHTS:
-        index = generalized_v_index(h, rate, weight)
+        index = weight(rate) * h
         print(f"  {name:>18}: index {index:6.2f}  (keeps {index / h:5.1%})")
     print()
     print("unity reproduces the plain h-index; the convex powers are for")

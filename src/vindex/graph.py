@@ -175,10 +175,11 @@ def _csv_lines(
     lines: Iterable[str], bad: list[tuple[int, CorpusParseError]], record: list[str]
 ) -> Iterator[str]:
     """The lines of a file read as UTF-8 with ``surrogateescape``, for
-    ``csv.reader``. A line with an undecodable byte goes into ``bad`` with
-    its number and on to the reader with replacement characters, so the
-    reader keeps its place and the caller can reject the row it lands in.
-    Each line is also appended to ``record``, emptied at every row."""
+    ``csv.reader``. A line with an undecodable byte or a NUL (which ``csv``
+    reads only from Python 3.11 on) goes into ``bad`` with its number and
+    on to the reader with replacement characters, so the reader keeps its
+    place and the caller can reject the row it lands in. Each line is also
+    appended to ``record``, emptied at every row."""
     for line_no, text in enumerate(lines, start=1):
         if not text.isascii():
             raw = text.encode("utf-8", "surrogateescape")
@@ -187,6 +188,9 @@ def _csv_lines(
             except CorpusParseError as exc:
                 bad.append((line_no, exc))
                 text = raw.decode("utf-8", "replace")
+        if "\0" in text:
+            bad.append((line_no, CorpusParseError("line contains NUL")))
+            text = text.replace("\0", "\ufffd")
         record.append(text)
         yield text
 
@@ -199,18 +203,20 @@ def _string_list(value: object, what: str) -> list[str]:
     return value
 
 
-# Decoded UTF-8 holds no surrogate, so only a line with a JSON escape of one
-# can give a string the lone surrogate that no UTF-8 output can write.
-_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
-_SURROGATE = re.compile("[\ud800-\udfff]")
+# Decoded UTF-8 holds no surrogate and JSON no raw NUL, so only a line with
+# a JSON escape of one can give a string a lone surrogate, which no UTF-8
+# output can write, or a NUL, which CSV output cannot write before 3.11.
+_UNWRITABLE_ESCAPE = re.compile(r"\\u(?:[dD][89a-fA-F]|0000)")
+_UNWRITABLE = re.compile("[\0\ud800-\udfff]")
 
 
-def _refuse_lone_surrogates(paper: Paper) -> None:
+def _refuse_unwritable(paper: Paper) -> None:
     # An escaped pair decodes to one character and passes.
     fields = (paper.id,), paper.authors, (paper.venue or "",), paper.refs
     for what, values in zip(("id", "authors", "venue", "refs"), fields):
-        if _SURROGATE.search("".join(values)):
-            raise CorpusParseError(f"'{what}' holds a lone surrogate")
+        if found := _UNWRITABLE.search("".join(values)):
+            held = "NUL" if found[0] == "\0" else "a lone surrogate"
+            raise CorpusParseError(f"'{what}' holds {held}")
 
 
 def _paper_from_record(record: object, names: dict[str, str]) -> tuple[Paper, int]:
@@ -272,8 +278,8 @@ def _corpus_records(
             if not text.strip():
                 continue
             paper, loops = _paper_from_record(json.loads(text), names)
-            if _SURROGATE_ESCAPE.search(text):
-                _refuse_lone_surrogates(paper)
+            if _UNWRITABLE_ESCAPE.search(text):
+                _refuse_unwritable(paper)
         except CorpusParseError as exc:
             yield line_no, None, 0, exc
         except (ValueError, RecursionError) as exc:
@@ -297,7 +303,7 @@ def ingest_corpus(source: str | Path) -> Corpus:
 
     The file is read as UTF-8, and lines end only at a line feed. Blank
     lines are skipped. A malformed line, invalid UTF-8 or an escaped lone
-    surrogate aborts with CorpusParseError, a duplicate id with
+    surrogate or NUL aborts with CorpusParseError, a duplicate id with
     CorpusIntegrityError, each placed at its file name and line.
     Self-references in ``refs`` are stripped and counted as ``self_loops``,
     duplicate refs are collapsed, and refs pointing outside the corpus are

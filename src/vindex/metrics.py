@@ -27,7 +27,6 @@ __all__ = [
     "h_index",
     "v_rate",
     "v_index",
-    "generalized_v_index",
     "metrics_row",
 ]
 
@@ -118,28 +117,6 @@ class WeightFunction(_WeightFields):
 
     # ``_replace`` builds through ``_make``, so it checks as the constructor does.
     _make = classmethod(lambda cls, values: cls(*values))
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def sqrt(cls) -> WeightFunction:
-        return cls("sqrt")
-
-    @classmethod
-    def unity(cls) -> WeightFunction:
-        return cls("unity")
-
-    @classmethod
-    def linear(cls) -> WeightFunction:
-        return cls("linear")
-
-    @classmethod
-    def concave(cls, n: int) -> WeightFunction:
-        return cls("power_concave", n)
-
-    @classmethod
-    def convex(cls, n: int) -> WeightFunction:
-        return cls("power_convex", n)
 
     @classmethod
     def parse(cls, spec: str) -> WeightFunction:
@@ -246,16 +223,7 @@ def v_index(h: int, citations: int, self_citations: int) -> float:
     return h * math.sqrt(v_rate(citations, self_citations))
 
 
-def generalized_v_index(h: int, rate: float, weight: WeightFunction) -> float:
-    """The discounted index f(rate) * h for any weight in the closed family."""
-    if h < 0:
-        raise DomainError(f"h must be >= 0, got {h}")
-    if not 0.0 <= rate <= 1.0:
-        raise DomainError(f"rate must lie in [0, 1], got {rate!r}")
-    return weight(rate) * h
-
-
-_DEFAULT_WEIGHT = WeightFunction.sqrt()
+_DEFAULT_WEIGHT = WeightFunction("sqrt")
 
 
 def metrics_row(
@@ -271,9 +239,9 @@ def metrics_row(
     there. ``h_star`` cannot be derived from aggregate counts: pipelines
     that own the citation graph pass it in, and it is None otherwise.
 
-    V_rate and V_index are those of ``v_rate`` and ``generalized_v_index``,
-    computed by the same expressions without their checks; C/P is C / CD
-    and V/P is (C - SC) / CD. ``counts`` holds the ``CitationCounts``
+    V_rate is that of ``v_rate``, computed by the same expression without
+    its checks, and V_index is ``weight(rate) * h``; C/P is C / CD and V/P
+    is (C - SC) / CD. ``counts`` holds the ``CitationCounts``
     invariants (0 <= SC <= C, 0 <= h <= CD), which leave CD = 0 the only
     input that raises DomainError.
     """

@@ -12,11 +12,7 @@ import random
 from decimal import ROUND_HALF_UP, Context, Decimal, InvalidOperation
 
 from vindex.errors import DomainError
-from vindex.metrics import (
-    MetricsRow,
-    generalized_v_index,
-    v_rate,
-)
+from vindex.metrics import MetricsRow, v_rate
 
 
 def brute_h(counts) -> int:
@@ -264,13 +260,13 @@ def counts_error_reference(c, sc, cd, h) -> str | None:
 
 
 def metrics_row_reference(entity_id, counts, weight, h_star=None) -> MetricsRow:
-    """The metric row built through the checked public helpers ``v_rate``
-    and ``generalized_v_index``, one call per column, as ``metrics_row``
-    first did; C/P = C / CD and V/P = (C - SC) / CD are written out, after
-    the check that CD is positive."""
+    """The metric row built through the checked public helper ``v_rate``,
+    one call per column, as ``metrics_row`` first did; V_index =
+    f(V_rate) * h, C/P = C / CD and V/P = (C - SC) / CD are written out,
+    after the check that CD is positive."""
     c, sc, cd = counts.citations_total, counts.self_citations, counts.citable_documents
     rate = v_rate(c, sc)
-    index = generalized_v_index(counts.h_index, rate, weight)
+    index = weight(rate) * counts.h_index
     ratio = index / counts.h_index if counts.h_index > 0 else 1.0
     if cd <= 0:
         raise DomainError("an entity needs at least one citable document")

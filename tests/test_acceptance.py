@@ -239,12 +239,12 @@ def test_metric_property_suite():
     assert checked == 100_000
 
     grid = [i / 1000 for i in range(1001)]
-    concave = [WeightFunction.concave(n) for n in (2, 3, 5)]
-    convex = [WeightFunction.convex(n) for n in (2, 3, 5)]
+    concave = [WeightFunction("power_concave", n) for n in (2, 3, 5)]
+    convex = [WeightFunction("power_convex", n) for n in (2, 3, 5)]
     everything = concave + convex + [
-        WeightFunction.sqrt(),
-        WeightFunction.unity(),
-        WeightFunction.linear(),
+        WeightFunction("sqrt"),
+        WeightFunction("unity"),
+        WeightFunction("linear"),
     ]
     for weight in everything:
         previous = None

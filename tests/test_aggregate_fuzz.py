@@ -4,7 +4,8 @@ Valid files are written by ``csv.writer`` from adversarial entity ids, and
 mutated copies of them insert, delete and flip bytes. Three properties hold
 for every case:
 
-* a valid file is read back exactly;
+* a valid file is read back exactly, unless an id holds NUL: then each
+  line holding NUL is refused, and nothing else is;
 * ``read_aggregate_csv`` raises if and only if ``audit_aggregate`` reports
   an error, and ``str()`` of the raised error is the file name and that
   first audit error;
@@ -31,11 +32,16 @@ from vindex.metrics import CitationCounts
 
 SEEDS = range(*map(int, os.environ.get("VINDEX_FUZZ_SEEDS", "0:40").split(":")))
 
-# Pieces of entity ids: what CSV must quote, line breaks of every kind, and
-# characters other layers treat as breaks or marks.
+# Pieces of entity ids: what CSV must quote, line breaks of every kind,
+# characters other layers treat as breaks or marks, and NUL, which the
+# readers refuse.
 ID_PIECES = (
-    '"', ",", "\r", "\n", "\r\n", " ", "\u2028", "\u0085", "\ufeff", '""', "a", "\u03a9", "x1"
+    '"', ",", "\r", "\n", "\r\n", " ", "\u2028", "\u0085", "\ufeff", '""', "a", "\u03a9", "x1",
+    "\0",
 )
+# csv.writer refuses NUL before Python 3.11, so it writes this stand-in,
+# which no piece holds, and the text gets NUL back after.
+NUL_STAND_IN = "\x01"
 
 # Bytes a mutation inserts or writes over: the CSV syntax, digits, a minus,
 # and the starts of a BOM, of U+2028 and of invalid UTF-8.
@@ -49,8 +55,8 @@ MUTANTS_PER_FILE = 6
 WRITER_STYLES = (("\r\n", csv.QUOTE_MINIMAL), ("\r\n", csv.QUOTE_ALL), ("\n", csv.QUOTE_ALL))
 
 
-def _entity_id(rng: random.Random) -> str:
-    return "".join(rng.choice(ID_PIECES) for _ in range(rng.randint(1, 6)))
+def _entity_id(rng: random.Random, pieces: tuple[str, ...]) -> str:
+    return "".join(rng.choice(pieces) for _ in range(rng.randint(1, 6)))
 
 
 def _counts(rng: random.Random) -> CitationCounts:
@@ -60,20 +66,29 @@ def _counts(rng: random.Random) -> CitationCounts:
     return CitationCounts(c, rng.randint(0, c), cd, rng.randint(0, cd))
 
 
-def _valid_file(rng: random.Random) -> tuple[str, list[tuple[str, CitationCounts]]]:
-    """CSV text written by ``csv.writer``, and the rows it holds."""
+def _valid_file(
+    rng: random.Random, pieces: tuple[str, ...] = ID_PIECES
+) -> tuple[str, list[tuple[str, CitationCounts]]]:
+    """CSV text written by ``csv.writer`` from ids made of ``pieces``, and
+    the rows it holds."""
     rows: dict[str, CitationCounts] = {}
     for _ in range(rng.randint(0, 8)):
-        rows.setdefault(_entity_id(rng), _counts(rng))
+        rows.setdefault(_entity_id(rng, pieces), _counts(rng))
     out = io.StringIO()
     terminator, quoting = rng.choice(WRITER_STYLES)
     writer = csv.writer(out, lineterminator=terminator, quoting=quoting)
     writer.writerow(AGGREGATE_CSV_COLUMNS)
     writer.writerows(
-        (name, c.citable_documents, c.citations_total, c.self_citations, c.h_index)
+        (
+            name.replace("\0", NUL_STAND_IN),
+            c.citable_documents,
+            c.citations_total,
+            c.self_citations,
+            c.h_index,
+        )
         for name, c in rows.items()
     )
-    return out.getvalue(), list(rows.items())
+    return out.getvalue().replace(NUL_STAND_IN, "\0"), list(rows.items())
 
 
 def _mutant(rng: random.Random, data: bytes) -> bytes:
@@ -93,10 +108,26 @@ def _mutant(rng: random.Random, data: bytes) -> bytes:
 @pytest.mark.parametrize("seed", SEEDS)
 def test_written_rows_read_back_exactly(write_input, seed):
     rng = random.Random(seed)
-    text, rows = _valid_file(rng)
+    text, rows = _valid_file(rng, tuple(piece for piece in ID_PIECES if piece != "\0"))
     path = write_input(text)
     assert read_aggregate_csv(path) == rows
     assert audit_aggregate(path).errors == []
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_written_lines_holding_nul_are_refused_and_nothing_else(write_input, seed):
+    rng = random.Random(seed)
+    text, rows = _valid_file(rng)
+    path = write_input(text)
+    lines = enumerate(io.StringIO(text, newline=""), start=1)
+    errors = [f"line {n}: line contains NUL" for n, line in lines if "\0" in line]
+    assert audit_aggregate(path).errors == errors
+    if errors:
+        with pytest.raises(VindexError) as excinfo:
+            read_aggregate_csv(path)
+        assert str(excinfo.value) == f"{path.name}, {errors[0]}"
+    else:
+        assert read_aggregate_csv(path) == rows
 
 
 @pytest.mark.parametrize("seed", SEEDS)

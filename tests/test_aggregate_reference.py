@@ -89,11 +89,11 @@ def test_csv_readers_match_a_reader_on_the_reference_count(write_input, monkeypa
 
 def _weights(rng: random.Random) -> list[WeightFunction]:
     return [
-        WeightFunction.sqrt(),
-        WeightFunction.unity(),
-        WeightFunction.linear(),
-        WeightFunction.concave(rng.randint(2, 12)),
-        WeightFunction.convex(rng.randint(2, 12)),
+        WeightFunction("sqrt"),
+        WeightFunction("unity"),
+        WeightFunction("linear"),
+        WeightFunction("power_concave", rng.randint(2, 12)),
+        WeightFunction("power_convex", rng.randint(2, 12)),
     ]
 
 

@@ -154,7 +154,7 @@ def test_fmt3_matches_the_decimal_reference():
 
 def test_rank_matches_the_reference_on_heavy_ties():
     rng = random.Random(5309)
-    weights = (WeightFunction.sqrt(), WeightFunction.unity(), WeightFunction.linear())
+    weights = (WeightFunction("sqrt"), WeightFunction("unity"), WeightFunction("linear"))
     for _ in range(300):
         weight = rng.choice(weights)
         rows = []

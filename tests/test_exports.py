@@ -191,6 +191,7 @@ def test_every_exported_member_is_read_outside_the_tests():
         "adjusted_citations_per_publication",
         "round3",
         "UnknownEntityError",
+        "generalized_v_index",
     ],
 )
 def test_deleted_names_are_gone(name):
@@ -203,7 +204,8 @@ def test_deleted_members_are_gone():
     for name in ("paper", "__len__", "__contains__", "__iter__"):
         assert not hasattr(graph.Corpus, name), name
     assert "mode" not in graph.EntityAggregate._fields
-    assert not hasattr(metrics.WeightFunction, "spec")
+    for name in ("spec", "sqrt", "unity", "linear", "concave", "convex"):
+        assert not hasattr(metrics.WeightFunction, name), name
     assert analytics.RankedTable._fields == ("rows",)
     assert analytics.CorrelationResult._fields == ("rho", "p_value")
     assert list(inspect.signature(graph.self_citation_fraction).parameters) == ["corpus"]

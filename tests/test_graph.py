@@ -412,6 +412,30 @@ def test_ingest_and_audit_reject_a_lone_surrogate(write_input, record, what):
     assert audit_corpus(path).errors == [error]
 
 
+@pytest.mark.parametrize(
+    "record, what",
+    [
+        ('{"id": "p\\u0000", "authors": ["a"]}', "id"),
+        ('{"id": "p2", "authors": ["a", "a\\u0000b"]}', "authors"),
+        ('{"id": "p2", "authors": ["a"], "venue": "\\u0000"}', "venue"),
+        ('{"id": "p2", "authors": ["a"], "refs": ["p1", "p\\u0000"]}', "refs"),
+    ],
+)
+def test_readers_and_cli_reject_an_escaped_nul(tmp_path, capsys, record, what):
+    # csv cannot write NUL before Python 3.11, so no version reads it.
+    path = tmp_path / "nul.jsonl"
+    path.write_text('{"id": "p1", "authors": ["a"]}\n' + record + "\n", encoding="utf-8")
+    error = f"line 2: '{what}' holds NUL"
+    with pytest.raises(CorpusParseError) as excinfo:
+        ingest_corpus(path)
+    assert str(excinfo.value) == f"nul.jsonl, {error}"
+    assert audit_corpus(path).errors == [error]
+    assert main(["validate", "--input", str(path)]) == 2
+    assert capsys.readouterr().out.startswith(f"error: {error}\n")
+    assert main(["metrics", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: nul.jsonl, {error}\n"
+
+
 def test_ingest_keeps_escaped_pairs_and_other_escapes(write_input):
     # an escaped pair, a non-surrogate escape and an escaped backslash
     path = write_input(
@@ -541,6 +565,7 @@ def test_serialize_ingest_round_trip(write_input, handmade):
 def test_hand_built_corpus_counts_its_dangling_refs():
     corpus = Corpus({"p1": Paper("p1", ("a",), refs=("ghost", "p2")), "p2": Paper("p2", ("b",))})
     assert corpus.dangling_refs == 1
+    assert (corpus == object()) is False
 
 
 def test_round_trip_preserves_dangling_refs(write_input):
@@ -1109,6 +1134,29 @@ def test_aggregate_csv_rejects_invalid_utf8_with_its_line(tmp_path):
     assert audit_aggregate(header).errors == [
         "line 1: invalid UTF-8 at byte 20 (invalid start byte)"
     ]
+
+
+def test_readers_and_cli_reject_a_csv_line_holding_nul(tmp_path, capsys):
+    # Each line holding NUL is refused, inside a quoted field or not, and
+    # the audit reads on: the same on every Python version, though csv
+    # reads NUL only from 3.11 on.
+    path = tmp_path / "stats.csv"
+    path.write_bytes(
+        b'entity_id,cd,c,sc,h\r\n"\0\r\n\r\ra",5,2,1,4\r\nC\0D,3,10,2,2\r\nok,3,10,2,2\r\n'
+    )
+    errors = ["line 2: line contains NUL", "line 6: line contains NUL"]
+    assert audit_aggregate(path).errors == errors
+    with pytest.raises(CorpusParseError) as excinfo:
+        read_aggregate_csv(path)
+    assert str(excinfo.value) == f"stats.csv, {errors[0]}"
+    assert main(["validate", "--input", str(path), "--kind", "aggregate"]) == 2
+    assert capsys.readouterr().out == "".join(f"error: {e}\n" for e in errors) + (
+        "2 error(s), 0 warning(s)\n"
+    )
+    assert main(["metrics", "--input", str(path), "--kind", "aggregate"]) == 2
+    assert capsys.readouterr().err == f"error: stats.csv, {errors[0]}\n"
+    path.write_bytes(b"entity_id,cd,c,sc,h\0\nx,1,1,0,1\n")
+    assert audit_aggregate(path).errors == ["line 1: line contains NUL"]
 
 
 CSV_HEADER = "entity_id,cd,c,sc,h"
