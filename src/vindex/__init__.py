@@ -2,8 +2,8 @@
 
 The package splits into three layers plus a CLI:
 
-* :mod:`vindex.metrics` - pure closed-form metrics: the h-index, the
-  virtuosity rate, the v-index, and its generalized discount family.
+* :mod:`vindex.metrics` - pure closed-form metrics: checked citation
+  counts, the h-index, the discount weight family, and the metric row.
 * :mod:`vindex.graph` - citation corpora: JSONL ingestion, self-citation
   classification, per-entity aggregation, synthetic corpus generation, and
   the aggregate CSV interchange format.

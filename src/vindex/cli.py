@@ -6,7 +6,7 @@ computing anything; ``synth`` writes a deterministic synthetic corpus; and
 ``compare`` shows how rankings shift between two discount weights.
 
 Data goes to stdout (or --output); every diagnostic goes to stderr. Exit
-status is 0 on success, 1 when the input file cannot be read, and 2 on
+status is 0 on success, 1 when a file cannot be read or written, and 2 on
 invalid data or usage.
 """
 
@@ -75,6 +75,11 @@ def _entity_counts(
     return [(name, counts, None) for name, counts in graph.read_aggregate_csv(args.input)]
 
 
+def _weight(spec: str | list) -> metrics.WeightFunction:
+    # Before Python 3.13, argparse reads the value of ``--weight=--`` as [].
+    return metrics.WeightFunction.parse("--" if spec == [] else spec)
+
+
 def _metric_rows(
     entities: Sequence[tuple[str, metrics.CitationCounts, int | None]],
     weight: metrics.WeightFunction,
@@ -91,7 +96,7 @@ def _metric_rows(
 
 def _metrics(args: argparse.Namespace) -> int:
     mode = _resolve_mode(args)
-    weight = metrics.WeightFunction.parse(args.weight)
+    weight = _weight(args.weight)
     rows = _metric_rows(_entity_counts(args, mode), weight)
     table = analytics.rank(rows, _SORT_KEYS[args.sort])
     _emit(analytics.render_table(table, _FORMATS[args.format]), args.output)
@@ -129,7 +134,7 @@ def _compare(args: argparse.Namespace) -> int:
     specs = args.weight or ["unity", "sqrt"]
     if len(specs) != 2:
         raise DomainError(f"compare needs exactly two --weight flags, got {len(specs)}")
-    weights = [metrics.WeightFunction.parse(spec) for spec in specs]
+    weights = [_weight(spec) for spec in specs]
     entities = _entity_counts(args, _resolve_mode(args))
     ranks: list[dict[str, int]] = []
     for weight in weights:

@@ -553,9 +553,6 @@ def _row_from_fields(fields: list[str], seen: set[str]) -> tuple[str, CitationCo
     cd_count, c_count, sc_count, h_count = counts
     try:
         row = entity_id, CitationCounts(c_count, sc_count, cd_count, h_count)
-        # An entity with no citable document has no C/P or V/P.
-        if cd_count == 0:
-            raise DomainError("citable_documents must be >= 1, got 0")
     except DomainError as exc:
         raise DomainError(f"entity {entity_id!r}: {exc}") from None
     return row

@@ -2,10 +2,10 @@
 
 The central quantity is the virtuosity rate, the fraction of an entity's
 citations that come from outside the entity itself. The v-index discounts
-the h-index by the square root of that rate, so an author with no
-self-citations keeps their h unchanged while heavy self-citers shrink
-toward zero. A small closed family of alternative discount weights is
-provided for sensitivity analysis.
+the h-index by the square root of that rate: removing a fraction k of a
+power-law record's citations uniformly shrinks its h-index by sqrt(1 - k),
+so h * sqrt((C - SC) / C) estimates h without self-citations. A small
+closed family of alternative discount weights serves sensitivity analysis.
 
 Everything here is a pure function of its arguments: no I/O, no shared
 state. Counts are exact integers; derived metrics are IEEE doubles and
@@ -25,8 +25,6 @@ __all__ = [
     "WeightFunction",
     "MetricsRow",
     "h_index",
-    "v_rate",
-    "v_index",
     "metrics_row",
 ]
 
@@ -60,7 +58,7 @@ class CitationCounts(_CountFields):
         c, sc, cd, h = self
         # Exact ints that hold every invariant pass at once; anything else,
         # int subclasses included, takes the field walk, which words the error.
-        if type(c) is type(sc) is type(cd) is type(h) is int and 0 <= sc <= c and 0 <= h <= cd:
+        if type(c) is type(sc) is type(cd) is type(h) is int and 0 <= sc <= c and 0 <= h <= cd > 0:
             return self
         for name, value in zip(self._fields, self):
             if isinstance(value, bool) or not isinstance(value, int):
@@ -71,6 +69,8 @@ class CitationCounts(_CountFields):
             raise DomainError(f"self_citations ({sc}) exceed citations_total ({c})")
         if h > cd:
             raise DomainError(f"h_index ({h}) exceeds citable_documents ({cd})")
+        if cd == 0:
+            raise DomainError("citable_documents must be >= 1, got 0")
         return self
 
     # ``_replace`` builds through ``_make``, so it checks as the constructor does.
@@ -192,37 +192,6 @@ def h_index(citations_per_paper: Iterable[int]) -> int:
     return h
 
 
-def v_rate(citations: int, self_citations: int) -> float:
-    """Fraction of received citations that are genuine: (C - SC) / C.
-
-    An entity nobody has cited has nothing to answer for, so C = 0 maps to 1.
-    """
-    if citations < 0 or self_citations < 0:
-        raise DomainError(
-            f"citation counts must be >= 0, got C={citations}, SC={self_citations}"
-        )
-    if self_citations > citations:
-        raise DomainError(
-            f"self-citations ({self_citations}) exceed total citations ({citations})"
-        )
-    if citations == 0:
-        return 1.0
-    return (citations - self_citations) / citations
-
-
-def v_index(h: int, citations: int, self_citations: int) -> float:
-    """The h-index discounted by the square root of the virtuosity rate.
-
-    The square root is not arbitrary: removing a fraction k of citations
-    uniformly from a power-law citation record shrinks the h-index by the
-    factor sqrt(1 - k), so h * sqrt((C - SC) / C) estimates the h-index the
-    entity would have without its self-citations.
-    """
-    if h < 0:
-        raise DomainError(f"h must be >= 0, got {h}")
-    return h * math.sqrt(v_rate(citations, self_citations))
-
-
 _DEFAULT_WEIGHT = WeightFunction("sqrt")
 
 
@@ -239,17 +208,14 @@ def metrics_row(
     there. ``h_star`` cannot be derived from aggregate counts: pipelines
     that own the citation graph pass it in, and it is None otherwise.
 
-    V_rate is that of ``v_rate``, computed by the same expression without
-    its checks, and V_index is ``weight(rate) * h``; C/P is C / CD and V/P
-    is (C - SC) / CD. ``counts`` holds the ``CitationCounts``
-    invariants (0 <= SC <= C, 0 <= h <= CD), which leave CD = 0 the only
-    input that raises DomainError.
+    V_rate is (C - SC) / C, or 1 when nobody has cited the entity (C = 0).
+    V_index is ``weight(rate) * h``, C/P is C / CD and V/P is (C - SC) / CD.
+    Valid ``CitationCounts`` (0 <= SC <= C, 0 <= h <= CD, CD >= 1) raise
+    nothing here, apart from OverflowError for counts past the float range.
     """
     c, sc = counts.citations_total, counts.self_citations
     cd, h = counts.citable_documents, counts.h_index
     rate = 1.0 if c == 0 else (c - sc) / c
     index = weight(rate) * h
     ratio = index / h if h > 0 else 1.0
-    if cd <= 0:
-        raise DomainError("an entity needs at least one citable document")
     return MetricsRow(entity_id, counts, rate, c / cd, (c - sc) / cd, index, ratio, h_star)

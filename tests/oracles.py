@@ -12,7 +12,7 @@ import random
 from decimal import ROUND_HALF_UP, Context, Decimal, InvalidOperation
 
 from vindex.errors import DomainError
-from vindex.metrics import MetricsRow, v_rate
+from vindex.metrics import MetricsRow
 
 
 def brute_h(counts) -> int:
@@ -246,7 +246,7 @@ def counts_error_reference(c, sc, cd, h) -> str | None:
     """The message ``CitationCounts(c, sc, cd, h)`` must raise, or None if
     it must accept them: every field is checked in order for its type (an
     int, a subclass too, but not a bool) and then its sign, and after that
-    SC <= C and h <= CD."""
+    SC <= C, h <= CD and CD >= 1."""
     for name, value in zip(_COUNT_NAMES, (c, sc, cd, h)):
         if isinstance(value, bool) or not isinstance(value, int):
             return f"{name} must be an integer, got {value!r}"
@@ -256,20 +256,19 @@ def counts_error_reference(c, sc, cd, h) -> str | None:
         return f"self_citations ({sc}) exceed citations_total ({c})"
     if h > cd:
         return f"h_index ({h}) exceeds citable_documents ({cd})"
+    if cd < 1:
+        return f"citable_documents must be >= 1, got {cd}"
     return None
 
 
 def metrics_row_reference(entity_id, counts, weight, h_star=None) -> MetricsRow:
-    """The metric row built through the checked public helper ``v_rate``,
-    one call per column, as ``metrics_row`` first did; V_index =
-    f(V_rate) * h, C/P = C / CD and V/P = (C - SC) / CD are written out,
-    after the check that CD is positive."""
+    """The metric row with each column written out by keyword: V_rate =
+    (C - SC) / C, or 1 when C = 0, V_index = f(V_rate) * h, C/P = C / CD
+    and V/P = (C - SC) / CD."""
     c, sc, cd = counts.citations_total, counts.self_citations, counts.citable_documents
-    rate = v_rate(c, sc)
+    rate = 1.0 if c == 0 else (c - sc) / c
     index = weight(rate) * counts.h_index
     ratio = index / counts.h_index if counts.h_index > 0 else 1.0
-    if cd <= 0:
-        raise DomainError("an entity needs at least one citable document")
     return MetricsRow(
         entity_id=entity_id,
         counts=counts,

@@ -1,7 +1,7 @@
 """Seeded fuzzing of the aggregate CSV boundary.
 
 Valid files are written by ``csv.writer`` from adversarial entity ids, and
-mutated copies of them insert, delete and flip bytes. Three properties hold
+mutated copies of them insert, delete and flip bytes. Four properties hold
 for every case:
 
 * a valid file is read back exactly, unless an id holds NUL: then each
@@ -9,7 +9,10 @@ for every case:
 * ``read_aggregate_csv`` raises if and only if ``audit_aggregate`` reports
   an error, and ``str()`` of the raised error is the file name and that
   first audit error;
-* ``vindex validate --kind aggregate`` returns 0 or 2 and never raises.
+* ``vindex validate --kind aggregate`` returns 0 or 2 and never raises;
+* ``vindex metrics --kind aggregate`` returns what ``validate`` does, and on
+  2 its stderr is one ``error:`` line, the file name and the first audit
+  error.
 
 Tier-1 runs a fixed range of seeds; ``VINDEX_FUZZ_SEEDS=START:STOP`` runs
 another range.
@@ -149,4 +152,8 @@ def test_strict_read_raises_the_first_audit_error(tmp_path, capsys, seed):
         with contextlib.redirect_stdout(io.StringIO()):
             code = main(["validate", "--kind", "aggregate", "--input", str(path)])
         assert code == (EXIT_DATA if errors else EXIT_OK), mutant
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            assert main(["metrics", "--kind", "aggregate", "--input", str(path)]) == code, mutant
+        assert stderr.getvalue() == (f"error: stats.csv, {errors[0]}\n" if errors else ""), mutant
     assert capsys.readouterr().err == ""

@@ -148,6 +148,29 @@ def test_fmt3_matches_the_decimal_reference():
     assert mismatches == []
 
 
+def test_fmt3_gives_a_string_for_every_finite_double_and_refuses_the_rest():
+    # Random 64-bit patterns, with the exponent bits also drawn as all ones
+    # (infinities and NaNs with any payload), all zeros (subnormals) and
+    # near the exponent of 1.
+    rng = random.Random(4152)
+    outcomes = set()
+    for _ in range(40_000):
+        bits = rng.getrandbits(64)
+        exponent = rng.choice((None, 0x7FF, 0, rng.randint(0x3F0, 0x41F)))
+        if exponent is not None:
+            bits = bits & ~(0x7FF << 52) | exponent << 52
+        value = struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+        try:
+            text = fmt3(value)
+        except DomainError:
+            assert not math.isfinite(value), value
+            outcomes.add("refused")
+        else:
+            assert type(text) is str and math.isfinite(value), value
+            outcomes.add("str")
+    assert outcomes == {"str", "refused"}
+
+
 # ---------------------------------------------------------------------------
 # ranking
 # ---------------------------------------------------------------------------

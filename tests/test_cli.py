@@ -12,6 +12,8 @@ import importlib.util
 import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,12 +24,15 @@ import vindex
 
 from vindex.analytics import TABLE_COLUMNS
 from vindex.cli import EXIT_DATA, EXIT_OK, EXIT_READ, main
+from vindex.errors import DomainError
 from vindex.graph import (
     aggregate_all,
     generate_synthetic_corpus,
+    ingest_corpus,
     serialize_corpus,
     write_aggregate_csv,
 )
+from vindex.metrics import WeightFunction
 
 HEADER = ",".join(TABLE_COLUMNS)
 
@@ -159,6 +164,21 @@ def test_metrics_missing_file(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["metrics", "compare", "synth"])
+def test_output_that_cannot_be_written_exits_1(command, corpus_path, tmp_path, capsys):
+    target = tmp_path / "missing" / "out.csv"
+    if command == "synth":
+        source = ["--seed", "1", "--papers", "5", "--authors", "3"]
+    else:
+        source = ["--input", str(corpus_path)]
+    code = main([command, *source, "--output", str(target)])
+    captured = capsys.readouterr()
+    assert code == EXIT_READ
+    assert captured.out == ""
+    assert re.fullmatch(r"error: \[Errno 2\] [^\n]*\n", captured.err), captured.err
+    assert not target.parent.exists()
+
+
 def test_metrics_invalid_aggregate_row(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("entity_id,cd,c,sc,h\noffender,5,10,20,3\n", encoding="utf-8")
@@ -185,15 +205,68 @@ def test_metrics_bad_weight_spec(corpus_path, capsys):
         pytest.param("x^1" + "0" * 400, id="1e400"),
         pytest.param("x^(1/1" + "0" * 400 + ")", id="1/1e400"),
         pytest.param("x^1" + "0" * 308, id="309-digits"),
+        # Before Python 3.13, argparse reads the value of --weight=-- as [].
+        pytest.param("--", id="two-dashes"),
     ],
 )
 def test_refused_weight_spec_is_one_data_error(command, spec, corpus_path, capsys):
     baseline = ["--weight", "sqrt"] if command == "compare" else []
-    code = main([command, "--input", str(corpus_path), *baseline, "--weight", spec])
+    code = main([command, "--input", str(corpus_path), *baseline, f"--weight={spec}"])
     captured = capsys.readouterr()
     assert code == EXIT_DATA
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# Pieces of random weight specs: every accepted form's parts, case, blanks,
+# signs, other scripts' digits, a lone surrogate and long runs of digits.
+SPEC_PIECES = (
+    "x", "X", "^", "(", ")", "1/", "/", "0", "1", "2", "3", "9", "sqrt", "unity", "linear",
+    "SQRT", " ", "\t", "\n", "-", "+", ".", "e", "\u0663", "\uff13", "\u00b2", "\udcff",
+    "9" * 308, "1" + "0" * 308,
+)
+
+
+def _weight_spec(rng) -> str:
+    if rng.random() < 0.3:
+        digits = rng.choice(("2", "3", "17", "0", "1", "9" * rng.randint(1, 310)))
+        return rng.choice((f"x^{digits}", f"x^(1/{digits})", f" X^{digits} "))
+    return "".join(rng.choice(SPEC_PIECES) for _ in range(rng.randint(0, 5)))
+
+
+def _parses(specs: list[str]) -> bool:
+    try:
+        for spec in specs:
+            WeightFunction.parse(spec)
+    except DomainError:
+        return False
+    return True
+
+
+def test_any_weight_spec_gives_a_table_or_one_data_error(tmp_path, capsys):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(
+        '{"id": "p1", "authors": ["a"]}\n{"id": "p2", "authors": ["a", "b"], "refs": ["p1"]}\n'
+        '{"id": "p3", "authors": ["c"], "refs": ["p1", "p2"]}\n',
+        encoding="utf-8",
+    )
+    rng = random.Random(2023)
+    codes = set()
+    for _ in range(250):
+        specs = [_weight_spec(rng) for _ in range(2)]
+        # The form with "=" keeps a spec that starts with "-" a value.
+        for command, given in (("metrics", specs[1:]), ("compare", specs)):
+            weights = [f"--weight={spec}" for spec in given]
+            code = main([command, *weights, "--input", str(path)])
+            captured = capsys.readouterr()
+            assert code == (EXIT_OK if _parses(given) else EXIT_DATA), (weights, captured.err)
+            if code == EXIT_DATA:
+                assert captured.out == ""
+                assert re.fullmatch(r"error: [^\n]*\n", captured.err), captured.err
+            else:
+                assert captured.err == "" and captured.out.startswith("entity_id,")
+            codes.add(code)
+    assert codes == {EXIT_OK, EXIT_DATA}
 
 
 def test_usage_errors_exit_2(capsys):
@@ -708,6 +781,73 @@ def test_stdout_is_utf8_whatever_its_encoding(encoding, tmp_path):
             output = tmp_path / "output.csv"
             assert run([*argv, "--output", str(output)], encoding).returncode == code
             assert output.read_bytes() == utf8.stdout
+
+
+# ---------------------------------------------------------------------------
+# hash seeds
+# ---------------------------------------------------------------------------
+
+# Runs each argv of the JSON list in its first argument, in one process, and
+# writes each exit code after its output.
+RUN_EACH = (
+    "import json, sys\n"
+    "from vindex.cli import main\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    code = main(argv)\n"
+    "    sys.stdout.flush()\n"
+    "    sys.stdout.buffer.write(f'exit {code}\\n'.encode())\n"
+)
+
+
+def _messy_corpus(rng: random.Random) -> str:
+    """A valid corpus with tied entities, shared and repeated names, refs
+    to itself, to unknown ids and repeated, and papers without a venue."""
+    names = ("Zoë", "ann", "bob", "Ødegård, K.", "b\u2028c", "d\"e", "x1", "x2")
+    lines = []
+    for index in range(24):
+        record: dict[str, object] = {
+            "id": f"p{index}",
+            "authors": [rng.choice(names) for _ in range(rng.randint(1, 3))],
+        }
+        venue = rng.choice(("J1", "J2", "Ünï", None))
+        if venue is not None:
+            record["venue"] = venue
+        pool = [f"p{j}" for j in range(24)] + ["ghost"]
+        record["refs"] = [rng.choice(pool) for _ in range(rng.randint(0, 6))]
+        lines.append(json.dumps(record, ensure_ascii=rng.random() < 0.5))
+    return "".join(line + "\n" for line in lines)
+
+
+def test_output_is_the_same_under_every_hash_seed(tmp_path):
+    corpus = tmp_path / "messy.jsonl"
+    corpus.write_text(_messy_corpus(random.Random(61)), encoding="utf-8")
+    aggregate = tmp_path / "messy.csv"
+    aggregate.write_text(
+        write_aggregate_csv(aggregate_all(ingest_corpus(corpus), "journal")), encoding="utf-8"
+    )
+    corpus_argvs = [
+        ["metrics"],
+        ["metrics", "--mode", "journal", "--format", "md"],
+        ["compare", "--weight", "unity", "--weight", "x^2"],
+        ["validate", "--mode", "journal"],
+    ]
+    argvs = [[*argv, "--input", str(corpus)] for argv in corpus_argvs] + [
+        [command, "--input", str(aggregate), "--kind", "aggregate"]
+        for command in ("metrics", "compare", "validate")
+    ]
+    src = str(Path(vindex.__file__).resolve().parent.parent)
+    outputs = set()
+    for seed in range(4):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))
+        command = [sys.executable, "-c", RUN_EACH, json.dumps(argvs)]
+        done = subprocess.run(command, env=env, capture_output=True, check=False)
+        assert done.returncode == 0, done.stderr
+        outputs.add((done.stdout, done.stderr))
+    assert len(outputs) == 1
+    stdout, stderr = outputs.pop()
+    assert stdout.count(b"exit 0\n") == len(argvs)
+    # The corpus is messy enough to warn.
+    assert b"warning: stripped" in stderr and b"lack venue metadata" in stderr
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Seeded fuzzing of the JSONL corpus boundary.
 
 Corpora are written by ``json.dumps`` from adversarial strings and values,
-and mutated copies of them insert, delete and flip bytes. Three properties
+and mutated copies of them insert, delete and flip bytes. Four properties
 hold for every case:
 
 * when ``ingest_corpus`` reads a file, ``serialize_corpus`` of what it read
@@ -12,7 +12,9 @@ hold for every case:
   audit error;
 * ``vindex metrics`` returns 0 or 2 and never raises; on 2 its stderr is
   one ``error:`` line, the file name and that first audit error, which
-  names a line.
+  names a line;
+* ``vindex validate`` in the same mode returns what ``metrics`` does, and
+  lists the audit's errors first.
 
 Tier-1 runs a fixed range of seeds; ``VINDEX_FUZZ_SEEDS=START:STOP`` runs
 another range.
@@ -167,7 +169,7 @@ def _check_round_trip(path) -> None:
 
 
 def _check_strict_read_and_cli(path, mode: str) -> None:
-    """Properties (b) and (c)."""
+    """Properties (b), (c) and (d)."""
     errors = audit_corpus(path, mode).errors
     try:
         ingest_corpus(path)
@@ -183,6 +185,11 @@ def _check_strict_read_and_cli(path, mode: str) -> None:
     if errors:
         assert re.fullmatch(r"error: [^\n]*, line [0-9]+: [^\n]*\n", stderr.getvalue())
         assert stderr.getvalue() == f"error: {path.name}, {errors[0]}\n"
+    report = io.StringIO()
+    with contextlib.redirect_stdout(report):
+        assert main(["validate", "--input", str(path), "--mode", mode]) == code
+    lines = report.getvalue().split("\n")
+    assert lines[: len(errors)] == [f"error: {error}" for error in errors]
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -15,8 +15,6 @@ from vindex.metrics import (
     WeightFunction,
     h_index,
     metrics_row,
-    v_index,
-    v_rate,
 )
 
 from oracles import brute_h
@@ -71,6 +69,11 @@ def test_h_index_accepts_any_iterable():
 # virtuosity rate and the v-index
 # ---------------------------------------------------------------------------
 
+def _row(c, sc, cd, h=0):
+    counts = CitationCounts(citations_total=c, self_citations=sc, citable_documents=cd, h_index=h)
+    return metrics_row("e", counts)
+
+
 @pytest.mark.parametrize(
     "c, sc, expected",
     [
@@ -83,32 +86,41 @@ def test_h_index_accepts_any_iterable():
     ],
 )
 def test_v_rate_values(c, sc, expected):
-    assert v_rate(c, sc) == pytest.approx(expected, rel=1e-15)
+    assert _row(c, sc, 1).v_rate == pytest.approx(expected, rel=1e-15)
 
 
-@pytest.mark.parametrize("c, sc", [(-1, 0), (5, -1), (5, 6), (0, 1)])
-def test_v_rate_rejects_bad_counts(c, sc):
-    with pytest.raises(DomainError):
-        v_rate(c, sc)
+@pytest.mark.parametrize(
+    "c, sc, message",
+    [
+        (-1, 0, "citations_total must be >= 0, got -1"),
+        (5, -1, "self_citations must be >= 0, got -1"),
+        (5, 6, r"self_citations \(6\) exceed citations_total \(5\)"),
+        (0, 1, r"self_citations \(1\) exceed citations_total \(0\)"),
+    ],
+    ids=["-1-0", "5--1", "5-6", "0-1"],
+)
+def test_v_rate_rejects_bad_counts(c, sc, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        _row(c, sc, 1)
 
 
 def test_v_index_worked_example():
     # 20% self-citations discount h = 10 by sqrt(0.8) to about 8.944
-    assert v_index(10, 100, 20) == pytest.approx(10 * math.sqrt(0.8), rel=1e-15)
+    assert _row(100, 20, 10, 10).v_index == pytest.approx(10 * math.sqrt(0.8), rel=1e-15)
 
 
 def test_v_index_no_self_citations_keeps_h():
     for h in (0, 1, 7, 44):
-        assert v_index(h, 500, 0) == float(h)
+        assert _row(500, 0, max(h, 1), h).v_index == float(h)
 
 
 def test_v_index_zero_citations_keeps_h():
-    assert v_index(12, 0, 0) == 12.0
+    assert _row(0, 0, 12, 12).v_index == 12.0
 
 
 def test_v_index_rejects_negative_h():
-    with pytest.raises(DomainError):
-        v_index(-1, 10, 0)
+    with pytest.raises(DomainError, match=r"^h_index must be >= 0, got -1$"):
+        _row(10, 0, 1, -1)
 
 
 def test_ratio_square_recovers_rate():
@@ -117,8 +129,8 @@ def test_ratio_square_recovers_rate():
         c = rng.randint(1, 100000)
         sc = rng.randint(0, c)
         h = rng.randint(1, max(1, math.isqrt(c)))
-        index = v_index(h, c, sc)
-        assert (index / h) ** 2 == pytest.approx(v_rate(c, sc), rel=1e-12)
+        row = _row(c, sc, h, h)
+        assert (row.v_index / h) ** 2 == pytest.approx(row.v_rate, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +260,6 @@ def test_sqrt_weight_between_linear_and_concave():
 # per-publication averages and row assembly
 # ---------------------------------------------------------------------------
 
-def _row(c, sc, cd, h=0):
-    counts = CitationCounts(citations_total=c, self_citations=sc, citable_documents=cd, h_index=h)
-    return metrics_row("e", counts)
-
-
 def test_citations_per_publication():
     assert _row(8956, 650, 784).c_p == 8956 / 784
     assert _row(0, 0, 5).c_p == 0.0
@@ -264,7 +271,7 @@ def test_adjusted_citations_per_publication():
 
 
 def test_per_publication_requires_documents():
-    with pytest.raises(DomainError, match="at least one citable document"):
+    with pytest.raises(DomainError, match=r"^citable_documents must be >= 1, got 0$"):
         _row(10, 2, 0)
 
 
@@ -278,6 +285,7 @@ def test_per_publication_requires_documents():
         dict(citations_total=5, self_citations=0, citable_documents=2, h_index=3),
         dict(citations_total=5.0, self_citations=0, citable_documents=2, h_index=1),
         dict(citations_total=5, self_citations=True, citable_documents=2, h_index=1),
+        dict(citations_total=5, self_citations=0, citable_documents=2, h_index=-1),
     ],
 )
 def test_citation_counts_validation(kwargs):
@@ -367,8 +375,5 @@ def test_metrics_row_carries_h_star():
 
 
 def test_metrics_row_requires_documents():
-    counts = CitationCounts(
-        citations_total=0, self_citations=0, citable_documents=0, h_index=0
-    )
-    with pytest.raises(DomainError):
-        metrics_row("empty", counts)
+    with pytest.raises(DomainError, match=r"^citable_documents must be >= 1, got 0$"):
+        CitationCounts(citations_total=0, self_citations=0, citable_documents=0, h_index=0)
