@@ -75,11 +75,6 @@ def _entity_counts(
     return [(name, counts, None) for name, counts in graph.read_aggregate_csv(args.input)]
 
 
-def _weight(spec: str | list) -> metrics.WeightFunction:
-    # Before Python 3.13, argparse reads the value of ``--weight=--`` as [].
-    return metrics.WeightFunction.parse("--" if spec == [] else spec)
-
-
 def _metric_rows(
     entities: Sequence[tuple[str, metrics.CitationCounts, int | None]],
     weight: metrics.WeightFunction,
@@ -96,7 +91,7 @@ def _metric_rows(
 
 def _metrics(args: argparse.Namespace) -> int:
     mode = _resolve_mode(args)
-    weight = _weight(args.weight)
+    weight = metrics.WeightFunction.parse(args.weight)
     rows = _metric_rows(_entity_counts(args, mode), weight)
     table = analytics.rank(rows, _SORT_KEYS[args.sort])
     _emit(analytics.render_table(table, _FORMATS[args.format]), args.output)
@@ -134,7 +129,7 @@ def _compare(args: argparse.Namespace) -> int:
     specs = args.weight or ["unity", "sqrt"]
     if len(specs) != 2:
         raise DomainError(f"compare needs exactly two --weight flags, got {len(specs)}")
-    weights = [_weight(spec) for spec in specs]
+    weights = [metrics.WeightFunction.parse(spec) for spec in specs]
     entities = _entity_counts(args, _resolve_mode(args))
     ranks: list[dict[str, int]] = []
     for weight in weights:
@@ -156,8 +151,28 @@ def _compare(args: argparse.Namespace) -> int:
 # argv wiring
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reads the value of ``--opt=--`` as ``--`` through the option's type
+    and choices, as Python 3.13 does; argparse before 3.13 reads it as []."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        for action in self._actions:
+            value = getattr(namespace, action.dest, None)
+            # [] is a single value so read, or an item an appending option added.
+            if type(value) is list and [] in [value, *value]:
+                try:
+                    dashes = self._get_value(action, "--")
+                    self._check_value(action, dashes)
+                except argparse.ArgumentError as exc:
+                    self.error(str(exc))
+                items = [dashes if item == [] else item for item in value]
+                setattr(namespace, action.dest, items if value else dashes)
+        return namespace, extras
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vindex",
         description=(
             "Self-citation-aware impact metrics over citation corpora "

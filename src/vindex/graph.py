@@ -5,11 +5,10 @@ file are counted; references to unknown ids are tallied as dangling and
 otherwise ignored, so a corpus survives a round trip through its own
 serialization unchanged.
 
-Two entity modes share all the machinery here. In author mode an edge is a
-self-citation when the citing and cited author sets intersect, and a paper
-contributes its counts to every one of its authors. In journal mode the
-entity is the venue string and an edge is a self-citation when both papers
-appeared in the same venue.
+Both entity modes follow one owner rule: a paper credits every one of its
+owners, and an edge is a self-citation when its two papers share an owner.
+A paper's owners are its authors in author mode and its venue in journal
+mode, where a paper without a venue has none.
 
 Each input format is read from a file, given by its path, in one pass:
 ``_corpus_records`` for JSONL and ``_aggregate_rows`` for the aggregate CSV.
@@ -226,11 +225,12 @@ def _paper_from_record(record: object, names: dict[str, str]) -> tuple[Paper, in
     Each string is replaced by the first equal one in ``names``, once its
     type is checked, so a pass holds one object per distinct id, author,
     venue or ref, and a ref is the very object that is its paper's id."""
+    # ``json.loads`` makes exact types, so an exact int check refuses a bool.
     share = names.setdefault
-    if not isinstance(record, dict):
+    if type(record) is not dict:
         raise CorpusParseError("record must be a JSON object")
     paper_id = record.get("id")
-    if not isinstance(paper_id, str) or not paper_id:
+    if type(paper_id) is not str or not paper_id:
         raise CorpusParseError("'id' must be a non-empty string")
     paper_id = share(paper_id, paper_id)
     if "authors" not in record:
@@ -240,11 +240,11 @@ def _paper_from_record(record: object, names: dict[str, str]) -> tuple[Paper, in
         raise CorpusParseError(f"paper {paper_id!r} needs at least one author")
     authors = tuple(map(share, authors, authors))
     venue = record.get("venue")
-    if venue is not None and not isinstance(venue, str):
+    if venue is not None and type(venue) is not str:
         raise CorpusParseError("'venue' must be a string")
     venue = share(venue, venue) if venue else None
     year = record.get("year")
-    if year is not None and (isinstance(year, bool) or not isinstance(year, int)):
+    if year is not None and type(year) is not int:
         raise CorpusParseError("'year' must be an integer")
     refs = _string_list(record.get("refs", []), "'refs'")
     refs = dict.fromkeys(map(share, refs, refs))
@@ -253,8 +253,7 @@ def _paper_from_record(record: object, names: dict[str, str]) -> tuple[Paper, in
     if paper_id in refs:
         del refs[paper_id]
         self_loops = 1
-    paper = Paper(id=paper_id, authors=authors, venue=venue, year=year, refs=tuple(refs))
-    return paper, self_loops
+    return Paper(paper_id, authors, venue, year, tuple(refs)), self_loops
 
 
 def _corpus_records(
@@ -352,47 +351,38 @@ def _check_mode(mode: str) -> None:
         raise DomainError(f"unknown entity mode {mode!r}; expected 'author' or 'journal'")
 
 
-def _received_counts(corpus: Corpus, mode: Mode) -> dict[str, PaperCitations]:
-    """Per paper id: the citations it received, and the subset classified
-    self, as the one record every owner of the paper shares.
+def _owners(corpus: Corpus, mode: Mode) -> list[frozenset[str]]:
+    """Each paper's owners, in corpus order: its authors in author mode, and
+    in journal mode its venue, or none for a paper without one."""
+    papers = corpus.papers.values()
+    if mode == "author":
+        return [frozenset(paper.authors) for paper in papers]
+    return [frozenset(() if paper.venue is None else (paper.venue,)) for paper in papers]
 
-    One pass over every in-corpus edge; dangling refs are skipped here.
-    The citing paper's author set and venue are read once for all its refs.
-    An edge is self when the author sets meet, or in journal mode when both
-    venues are equal; a missing venue on either side makes it genuine.
-    """
+
+def _received_counts(corpus: Corpus, owners: list[frozenset[str]]) -> list[PaperCitations]:
+    """Per paper, in corpus order, the record all its owners share: the
+    citations it received over in-corpus edges, each ref resolved once to a
+    position and a dangling one skipped, and the subset where ``owners`` meet."""
     papers = corpus.papers
-    received: dict[str, list[int]] = {pid: [0, 0] for pid in papers}
-    journal = mode == "journal"
-    for citing in papers.values():
-        mine = None if journal else frozenset(citing.authors)
-        venue = citing.venue
-        for ref in citing.refs:
-            cited = papers.get(ref)
-            if cited is None:
-                continue
-            entry = received[ref]
-            entry[0] += 1
-            if journal:
-                if venue is not None and venue == cited.venue:
-                    entry[1] += 1
-            elif not mine.isdisjoint(cited.authors):
-                entry[1] += 1
-    return {pid: PaperCitations(pid, gross, own) for pid, (gross, own) in received.items()}
+    index = {pid: i for i, pid in enumerate(papers)}
+    gross, own = [0] * len(index), [0] * len(index)
+    for mine, citing in zip(owners, papers.values()):
+        for j in map(index.get, citing.refs):
+            if j is not None:
+                gross[j] += 1
+                if not mine.isdisjoint(owners[j]):
+                    own[j] += 1
+    return list(map(PaperCitations, papers, gross, own))
 
 
 def aggregate_all(corpus: Corpus, mode: Mode) -> list[EntityAggregate]:
     """One aggregate per distinct entity, in lexicographic entity order.
     An entity's papers keep corpus order in ``per_paper``."""
     _check_mode(mode)
-    received = _received_counts(corpus, mode)
+    owners = _owners(corpus, mode)
     owned: dict[str, list[PaperCitations]] = {}
-    for paper in corpus.papers.values():
-        if mode == "author":
-            keys: Iterable[str] = dict.fromkeys(paper.authors)
-        else:
-            keys = (paper.venue,) if paper.venue is not None else ()
-        record = received[paper.id]
+    for keys, record in zip(owners, _received_counts(corpus, owners)):
         for key in keys:
             owned.setdefault(key, []).append(record)
     aggregates = []
@@ -401,28 +391,17 @@ def aggregate_all(corpus: Corpus, mode: Mode) -> list[EntityAggregate]:
         gross = [record.citations_received for record in per_paper]
         net = [record.citations_received - record.self_citations_received for record in per_paper]
         c = sum(gross)
-        aggregates.append(
-            EntityAggregate(
-                entity_id=entity_id,
-                cd=len(per_paper),
-                c=c,
-                sc=c - sum(net),
-                h=h_index(gross),
-                h_star=h_index(net),
-                per_paper=per_paper,
-            )
-        )
+        row = entity_id, len(per_paper), c, c - sum(net), h_index(gross), h_index(net), per_paper
+        aggregates.append(EntityAggregate(*row))
     return aggregates
 
 
 def self_citation_fraction(corpus: Corpus) -> float:
     """Share of in-corpus citation edges classified self in author mode;
     0.0 for no edges."""
-    records = _received_counts(corpus, "author").values()
+    records = _received_counts(corpus, _owners(corpus, "author"))
     total = sum(record.citations_received for record in records)
-    if total == 0:
-        return 0.0
-    return sum(record.self_citations_received for record in records) / total
+    return sum(record.self_citations_received for record in records) / total if total else 0.0
 
 
 # ---------------------------------------------------------------------------

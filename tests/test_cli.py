@@ -279,6 +279,56 @@ def test_usage_errors_exit_2(capsys):
     assert main(["metrics", "--input", "x", "--sort", "sideways"]) == 2
 
 
+# Every single-value option of every subcommand given as ``--opt=--``, with
+# the exit code and what the error line must hold (None: no error). Before
+# Python 3.13, argparse read such a value as [] and skipped the option's
+# type and choices. Only what the CLI owns is pinned: argparse's usage text
+# differs by version.
+DOUBLE_DASH_CASES = [
+    *[
+        (command, option, EXIT_DATA, option)
+        for command in ("metrics", "validate", "compare")
+        for option in ("--kind", "--mode")
+    ],
+    *[(command, "--input", EXIT_READ, "'--'") for command in ("metrics", "validate", "compare")],
+    *[(command, "--format", EXIT_DATA, "--format") for command in ("metrics", "compare")],
+    *[(command, "--output", EXIT_OK, None) for command in ("metrics", "compare", "synth")],
+    ("metrics", "--sort", EXIT_DATA, "--sort"),
+    ("metrics", "--weight", EXIT_DATA, "'--'"),
+    ("compare", "--weight", EXIT_DATA, "'--'"),
+    *[
+        ("synth", option, EXIT_DATA, option)
+        for option in ("--seed", "--papers", "--authors", "--bias")
+    ],
+]
+
+
+@pytest.mark.parametrize(
+    "command, option, expected, fragment",
+    DOUBLE_DASH_CASES,
+    ids=[f"{command} {option}=--" for command, option, *_ in DOUBLE_DASH_CASES],
+)
+def test_double_dash_value_is_read_as_itself(
+    command, option, expected, fragment, corpus_path, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)  # ``--output=--`` writes a file named ``--``
+    if command == "synth":
+        argv = ["synth", "--seed", "1", "--papers", "5", "--authors", "3"]
+    else:
+        argv = [command, "--input", str(corpus_path)]
+    if (command, option) == ("compare", "--weight"):
+        argv += ["--weight", "sqrt"]
+    # An option given again, as ``--opt=--``, overrides its value before.
+    code = main([*argv, f"{option}=--"])
+    captured = capsys.readouterr()
+    assert code == expected, captured.err
+    if fragment is None:
+        assert (tmp_path / "--").read_text(encoding="utf-8") and captured.out == ""
+    else:
+        (line,) = [line for line in captured.err.splitlines() if "error: " in line]
+        assert fragment in line.partition("error: ")[2], line
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "metrics" in capsys.readouterr().out

@@ -3,6 +3,9 @@
 Each case runs ``cli.main`` in-process and compares the sha256 of its
 stdout with a digest recorded before the ranking and rendering fast paths
 went in, so any change to a cell, a position or a tie-break shows here.
+The corpus pins were recorded before author and journal mode came to share
+one owner rule, so they hold the classification and grouping of both modes
+as they were.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import json
 import random
 
 import pytest
@@ -18,6 +22,7 @@ from conftest import DATA_DIR
 from vindex.cli import EXIT_OK, main
 
 WIDE_ROWS = 5000
+CORPUS_PAPERS = 300
 
 
 def _wide_csv(seed: int, n_rows: int) -> str:
@@ -55,11 +60,39 @@ def _reduced(name: str) -> str:
     return out.getvalue()
 
 
+def _messy_corpus(seed: int, n_papers: int) -> str:
+    """A JSONL corpus with dense refs, refs to later lines, dangling and
+    duplicate refs, self-references, papers without a venue and teams that
+    name one author twice."""
+    rng = random.Random(seed)
+    authors = [f"author {i:02d}" for i in range(60)]
+    ids = [f"p{i:03d}" for i in range(n_papers)]
+    lines = []
+    for index, paper_id in enumerate(ids):
+        team = rng.sample(authors, rng.randint(1, 4))
+        if index % 17 == 0:
+            team.append(team[0])
+        record: dict[str, object] = {"id": paper_id, "authors": team}
+        if index % 9:
+            record["venue"] = rng.choice(("J1", "J2", "J3", "Conf A", "Conf B"))
+        if index % 4:
+            record["year"] = 1990 + index % 20
+        refs = rng.sample(ids, rng.randint(0, 30))
+        if index % 7 == 0:
+            refs.append(f"x{index:03d}")
+        if refs and index % 5 == 0:
+            refs.append(refs[0])
+        record["refs"] = refs
+        lines.append(json.dumps(record))
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     work = tmp_path_factory.mktemp("pins")
-    paths = {"wide": work / "wide.csv"}
+    paths = {"wide": work / "wide.csv", "corpus": work / "corpus.jsonl"}
     paths["wide"].write_text(_wide_csv(9, WIDE_ROWS), encoding="utf-8")
+    paths["corpus"].write_text(_messy_corpus(5, CORPUS_PAPERS), encoding="utf-8")
     for table in ("authors", "journals", "countries"):
         paths[table] = work / f"{table}.csv"
         paths[table].write_text(_reduced(f"{table}_top25.csv"), encoding="utf-8")
@@ -107,6 +140,19 @@ TABLE_PINS = {
 }
 
 
+# ``metrics`` and ``compare`` on the messy corpus in each entity mode.
+CORPUS_PINS = {
+    ("metrics", "author"):
+        "67b9391147ebc39f8776520ddca58dbf4834f279a3b5fcf4c4319747a85550f8",
+    ("metrics", "journal"):
+        "a75a733568208c07256bf3b39189d02aece906ff801556c08608b56a30c29c80",
+    ("compare", "author"):
+        "a3d0c9d3575593f219fb2507a812d399ab8092004bb606acb31b5d0753088ca0",
+    ("compare", "journal"):
+        "66196d83feb2f1c28df62ceb67357a1b089e2e15ec5972867bb1c29bb6d64d69",
+}
+
+
 def _digest(argv, capsys) -> str:
     code = main(argv)
     captured = capsys.readouterr()
@@ -134,3 +180,10 @@ def test_reference_table_output_is_pinned(case, inputs, capsys):
     table, command = case
     argv = [command, "--kind", "aggregate", "--input", str(inputs[table])]
     assert _digest(argv, capsys) == TABLE_PINS[case]
+
+
+@pytest.mark.parametrize("case", list(CORPUS_PINS), ids="-".join)
+def test_corpus_output_is_pinned(case, inputs, capsys):
+    command, mode = case
+    argv = [command, "--input", str(inputs["corpus"]), "--mode", mode]
+    assert _digest(argv, capsys) == CORPUS_PINS[case]
