@@ -152,23 +152,22 @@ def _compare(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    """Reads the value of ``--opt=--`` as ``--`` through the option's type
-    and choices, as Python 3.13 does; argparse before 3.13 reads it as []."""
+    """Reads ``--opt=--`` as ``--`` through the option's type and choices,
+    as 3.13 does; argparse before 3.13 drops that ``--`` in ``_get_values``."""
 
-    def parse_known_args(self, args=None, namespace=None):
-        namespace, extras = super().parse_known_args(args, namespace)
-        for action in self._actions:
-            value = getattr(namespace, action.dest, None)
-            # [] is a single value so read, or an item an appending option added.
-            if type(value) is list and [] in [value, *value]:
-                try:
-                    dashes = self._get_value(action, "--")
-                    self._check_value(action, dashes)
-                except argparse.ArgumentError as exc:
-                    self.error(str(exc))
-                items = [dashes if item == [] else item for item in value]
-                setattr(namespace, action.dest, items if value else dashes)
-        return namespace, extras
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
+
+def _path(value: str) -> Path:
+    """A path option's type; ``Path("")`` would be the directory ``.``."""
+    if not value:
+        raise argparse.ArgumentTypeError("expected a path, got an empty value")
+    return Path(value)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -182,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_input_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--input", required=True, type=Path, help="path to the input file")
+        p.add_argument("--input", required=True, type=_path, help="path to the input file")
         p.add_argument(
             "--kind",
             choices=("corpus", "aggregate"),
@@ -203,7 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
             default="csv",
             help="table format (default: %(default)s)",
         )
-        p.add_argument("--output", type=Path, default=None, help="write here instead of stdout")
+        p.add_argument("--output", type=_path, default=None, help="write here instead of stdout")
 
     cmd = sub.add_parser("metrics", help="compute, rank, and render impact metrics")
     cmd.set_defaults(run=_metrics)
@@ -236,7 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=0.0,
         help="probability of preferring a shared-author citation target (default: %(default)s)",
     )
-    cmd.add_argument("--output", type=Path, default=None, help="write here instead of stdout")
+    cmd.add_argument("--output", type=_path, default=None, help="write here instead of stdout")
 
     cmd = sub.add_parser("compare", help="show rank shifts between two discount weights")
     cmd.set_defaults(run=_compare)

@@ -256,6 +256,36 @@ def _paper_from_record(record: object, names: dict[str, str]) -> tuple[Paper, in
     return Paper(paper_id, authors, venue, year, tuple(refs)), self_loops
 
 
+# How deep ``json.loads`` nests depends on the Python version (about 1000
+# levels up to 3.11, 1500 on 3.12, 10000 on 3.13) and on the caller's stack,
+# so a line nesting deeper than this is refused before it is parsed.
+_MAX_DEPTH = 500
+# A JSON string, or the rest of a line after an unclosed quote, or a bracket.
+_STRING_OR_BRACKET = re.compile(r'"(?:[^"\\]|\\.)*"?|[\[\]{}]', re.DOTALL)
+_DEPTH_STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
+
+
+def _refuse_deep_nesting(text: str) -> None:
+    # Each level takes a character: only a long line with many brackets is scanned.
+    if len(text) <= _MAX_DEPTH or text.count("[") + text.count("{") <= _MAX_DEPTH:
+        return
+    depth = 0
+    for token in _STRING_OR_BRACKET.findall(text):
+        depth += _DEPTH_STEP.get(token, 0)
+        if depth > _MAX_DEPTH:
+            raise CorpusParseError("invalid JSON (nested too deeply)")
+
+
+# Python 3.13 words a trailing comma in an object or an array its own way;
+# the words of the earlier versions keep the messages alike on every one.
+_JSON_REASONS = {
+    "Illegal trailing comma before end of object": (
+        "Expecting property name enclosed in double quotes"
+    ),
+    "Illegal trailing comma before end of array": "Expecting value",
+}
+
+
 def _corpus_records(
     lines: Iterable[bytes],
 ) -> Iterator[tuple[int, Paper | None, int, VindexError | None]]:
@@ -276,6 +306,7 @@ def _corpus_records(
                 text = text.removeprefix("\ufeff")
             if not text.strip():
                 continue
+            _refuse_deep_nesting(text)
             paper, loops = _paper_from_record(json.loads(text), names)
             if _UNWRITABLE_ESCAPE.search(text):
                 _refuse_unwritable(paper)
@@ -287,6 +318,7 @@ def _corpus_records(
             reason = getattr(exc, "msg", None) or (
                 "nested too deeply" if isinstance(exc, RecursionError) else "integer too long"
             )
+            reason = _JSON_REASONS.get(reason, reason)
             yield line_no, None, 0, CorpusParseError(f"invalid JSON ({reason})")
         else:
             error = None

@@ -303,6 +303,12 @@ DOUBLE_DASH_CASES = [
 ]
 
 
+def _required_argv(command, corpus_path):
+    if command == "synth":
+        return ["synth", "--seed", "1", "--papers", "5", "--authors", "3"]
+    return [command, "--input", str(corpus_path)]
+
+
 @pytest.mark.parametrize(
     "command, option, expected, fragment",
     DOUBLE_DASH_CASES,
@@ -312,10 +318,7 @@ def test_double_dash_value_is_read_as_itself(
     command, option, expected, fragment, corpus_path, tmp_path, monkeypatch, capsys
 ):
     monkeypatch.chdir(tmp_path)  # ``--output=--`` writes a file named ``--``
-    if command == "synth":
-        argv = ["synth", "--seed", "1", "--papers", "5", "--authors", "3"]
-    else:
-        argv = [command, "--input", str(corpus_path)]
+    argv = _required_argv(command, corpus_path)
     if (command, option) == ("compare", "--weight"):
         argv += ["--weight", "sqrt"]
     # An option given again, as ``--opt=--``, overrides its value before.
@@ -327,6 +330,35 @@ def test_double_dash_value_is_read_as_itself(
     else:
         (line,) = [line for line in captured.err.splitlines() if "error: " in line]
         assert fragment in line.partition("error: ")[2], line
+
+
+# Every path option of every subcommand. ``Path("")`` is the directory ``.``,
+# so an empty value was read as ``.`` and failed with ``[Errno 21] Is a
+# directory: '.'`` (exit 1), naming a path that was never given.
+EMPTY_PATH_CASES = [
+    *[(command, "--input") for command in ("metrics", "validate", "compare")],
+    *[(command, "--output") for command in ("metrics", "compare", "synth")],
+]
+
+
+@pytest.mark.parametrize("form", ["=", " "], ids=["equals", "separate"])
+@pytest.mark.parametrize(
+    "command, option",
+    EMPTY_PATH_CASES,
+    ids=[f"{command} {option}" for command, option in EMPTY_PATH_CASES],
+)
+def test_empty_path_value_is_a_usage_error(
+    command, option, form, corpus_path, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    value = [f"{option}="] if form == "=" else [option, ""]
+    code = main([*_required_argv(command, corpus_path), *value])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_DATA, "")
+    assert captured.err.splitlines()[-1] == (
+        f"vindex {command}: error: argument {option}: expected a path, got an empty value"
+    )
+    assert os.listdir(tmp_path) == [corpus_path.name]  # nothing written
 
 
 def test_help_exits_zero(capsys):
@@ -472,6 +504,14 @@ TWO_MARKS = b"\xef\xbb\xbf" * 2
             GOOD_LINE + b"[" * 100_000 + b"]" * 100_000 + b"\n",
             "line 2: invalid JSON (nested too deeply)",
             id="deep-nesting",
+        ),
+        pytest.param(
+            "deep.jsonl",
+            "corpus",
+            GOOD_LINE
+            + b'{"id": "p2", "authors": ["b"], "x": %s%s}\n' % (b"[" * 1200, b"]" * 1200),
+            "line 2: invalid JSON (nested too deeply)",
+            id="nesting-1200",
         ),
         pytest.param(
             "digits.csv",

@@ -222,7 +222,8 @@ def test_ingest_normalizes_empty_venue(write_input):
         '{"id": "p1", "authors": [{}]}',
         '{"id": "p1", "authors": ["a"], "refs": [[]]}',
         '{"id": "p1", "authors": ["a"], "refs": [{}]}',
-        # json.loads raises ValueError and RecursionError for these two
+        # json.loads raises ValueError for the first; the second is refused
+        # before it is parsed
         pytest.param('{"id": "p1", "authors": ["a"], "year": ' + "9" * 5000 + "}", id="huge-int"),
         pytest.param("[" * 100_000 + "]" * 100_000, id="deep-nesting"),
     ],
@@ -234,6 +235,28 @@ def test_ingest_rejects_malformed_line(write_input, line):
     (error,) = audit_corpus(path).errors
     assert error.startswith("line 2: ")
     assert str(excinfo.value) == f"{path.name}, {error}"
+
+
+# Found by comparing the fuzz cases across Python versions: a line nesting
+# 1000 to 10000 levels deep was refused up to 3.11 and read from 3.12 on,
+# so ``metrics`` on one file exited 2 or 0 by version. The record is the
+# first level; brackets inside strings do not count.
+@pytest.mark.parametrize("depth", [500, 501])
+@pytest.mark.parametrize("inside", ["[", "{\"k\": "], ids=["arrays", "objects"])
+def test_nesting_past_500_levels_is_refused_on_every_version(write_input, depth, inside):
+    closing = "]" if inside == "[" else "}"
+    levels = depth - 1
+    name = "[{" * 600
+    line = json.dumps({"id": "p1", "authors": [name], "x": "@"}).replace(
+        '"@"', inside * levels + "0" + closing * levels
+    )
+    path = write_input([line])
+    errors = audit_corpus(path).errors
+    if depth == 500:
+        assert errors == []
+        assert ingest_corpus(path).papers["p1"].authors == (name,)
+    else:
+        assert errors == ["line 1: invalid JSON (nested too deeply)"]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,13 @@ went in, so any change to a cell, a position or a tie-break shows here.
 The corpus pins were recorded before author and journal mode came to share
 one owner rule, so they hold the classification and grouping of both modes
 as they were.
+
+The cross-version pin is ``fuzzing.digest()``: the exit code, stdout,
+stderr and written files of a fixed seed set of the JSONL, aggregate CSV
+and argv fuzz cases. Argparse's help and usage text differ by Python
+version, so for those runs it holds only the exit code and what the usage
+error names. The pin is the same on Python 3.10 to 3.13; without pytest,
+``PYTHONPATH=src python tests/fuzzing.py`` prints the digest to compare.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ import random
 
 import pytest
 
+import fuzzing
 from conftest import DATA_DIR
 from vindex.cli import EXIT_OK, main
 
@@ -187,3 +195,10 @@ def test_corpus_output_is_pinned(case, inputs, capsys):
     command, mode = case
     argv = [command, "--input", str(inputs["corpus"]), "--mode", mode]
     assert _digest(argv, capsys) == CORPUS_PINS[case]
+
+
+CROSS_VERSION_DIGEST = "8d6b1fa15ca1a4c61a70f5a865be6e3e94c0886565e6b1b58186f1d577e86102"
+
+
+def test_fuzz_outcomes_are_pinned_across_versions():
+    assert fuzzing.digest() == CROSS_VERSION_DIGEST
