@@ -6,13 +6,14 @@ computing anything; ``synth`` writes a deterministic synthetic corpus; and
 ``compare`` shows how rankings shift between two discount weights.
 
 Data goes to stdout (or --output); every diagnostic goes to stderr. Exit
-status is 0 on success, 1 when a file cannot be read or written, and 2 on
-invalid data or usage.
+status is 0 on success, 1 when a file cannot be read or written or memory
+runs out, and 2 on invalid data or usage.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -170,6 +171,7 @@ def _path(value: str) -> Path:
     return Path(value)
 
 
+@functools.cache  # once per process; parsing leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="vindex",
@@ -264,6 +266,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (OSError, VindexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_READ if isinstance(exc, OSError) else EXIT_DATA
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_READ
 
 
 if __name__ == "__main__":

@@ -588,58 +588,45 @@ def _quote_left_open(text: str) -> bool:
             return False
 
 
-def _csv_rows(reader, record: list[str]) -> Iterator[list[str] | CorpusParseError]:
-    """The rows of ``reader``, and the error in place of a row it refuses.
-    ``record`` gathers the lines the reader takes for one row. After an
-    error the reader starts afresh on the next line, so when those lines
-    end inside a quoted field the rows end there: the rest of the field
-    would be read as rows."""
-    while True:
-        record.clear()
-        try:
-            yield next(reader)
-        except StopIteration:
-            return
-        except csv.Error as exc:
-            yield CorpusParseError(str(exc))
-            if _quote_left_open("".join(record)):
-                return
-
-
 def _aggregate_rows(
     lines: Iterable[str],
 ) -> Iterator[tuple[int, tuple[str, CitationCounts] | None, VindexError | None]]:
     """The one pass over aggregate CSV lines, shared by
     ``read_aggregate_csv`` and ``audit_aggregate``: each data row's line,
     then its entity and counts or None, then the bare error that rejects
-    it, which the policy places. A missing, undecodable or wrong header
-    ends the pass."""
+    it, which the policy places. The first row is the header. A row is
+    refused for its undecodable or NUL lines, or else for its csv error.
+    A refused row ends the pass when it is the header, or when its lines
+    end inside a quoted field: the reader starts afresh on the next line,
+    so the rest of that field would be read as rows."""
     bad: list[tuple[int, CorpusParseError]] = []
     record: list[str] = []
     reader = csv.reader(_csv_lines(lines, bad, record), strict=True)
-    rows = _csv_rows(reader, record)
-    header = next(rows, None)
-    if header is None:
-        yield 1, None, CorpusParseError("empty file, expected a header row")
-        return
-    if bad or isinstance(header, CorpusParseError):
-        yield from ((line, None, error) for line, error in bad or [(reader.line_num, header)])
-        return
-    if header:
-        header[0] = header[0].removeprefix("\ufeff")
-    if tuple(header) != AGGREGATE_CSV_COLUMNS:
-        yield 1, None, CorpusParseError(
-            f"header must be exactly {','.join(AGGREGATE_CSV_COLUMNS)!r}, "
-            f"got {','.join(header)!r}"
-        )
-        return
-    seen: set[str] = set()
-    for fields in rows:
-        if bad:
-            yield from ((line, None, error) for line, error in bad)
+    seen: set[str] | None = None  # None until the header is read
+    while True:
+        record.clear()
+        error = None
+        try:
+            fields = next(reader)
+        except StopIteration:
+            break
+        except csv.Error as exc:
+            error = CorpusParseError(str(exc))
+        if bad or error:
+            yield from ((line, None, exc) for line, exc in bad or [(reader.line_num, error)])
             bad.clear()
-        elif isinstance(fields, CorpusParseError):
-            yield reader.line_num, None, fields
+            if seen is None or _quote_left_open("".join(record)):
+                return
+        elif seen is None:
+            if fields:
+                fields[0] = fields[0].removeprefix("\ufeff")
+            if tuple(fields) != AGGREGATE_CSV_COLUMNS:
+                yield 1, None, CorpusParseError(
+                    f"header must be exactly {','.join(AGGREGATE_CSV_COLUMNS)!r}, "
+                    f"got {','.join(fields)!r}"
+                )
+                return
+            seen = set()
         elif fields:
             try:
                 row = _row_from_fields(fields, seen)
@@ -647,6 +634,8 @@ def _aggregate_rows(
                 yield reader.line_num, None, exc
             else:
                 yield reader.line_num, row, None
+    if seen is None:
+        yield 1, None, CorpusParseError("empty file, expected a header row")
 
 
 def read_aggregate_csv(source: str | Path) -> list[tuple[str, CitationCounts]]:

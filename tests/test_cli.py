@@ -22,6 +22,7 @@ import pytest
 
 import vindex
 
+from vindex import cli
 from vindex.analytics import TABLE_COLUMNS
 from vindex.cli import EXIT_DATA, EXIT_OK, EXIT_READ, main
 from vindex.errors import DomainError
@@ -695,6 +696,30 @@ def test_synth_rejects_bad_parameters(capsys):
     )
 
 
+def test_synth_out_of_memory_is_one_error_line():
+    # A --papers count that parses but cannot fit: the list of paper ids
+    # outgrows an address-space limit set in the child only.
+    resource = pytest.importorskip("resource")
+
+    def cap_memory():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (256 * 2**20, hard))
+
+    src = str(Path(vindex.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "vindex", "synth", "--seed", "1", "--papers", str(10**12),
+         "--authors", "2"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        preexec_fn=cap_memory,
+        timeout=120,
+        check=False,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (
+        EXIT_READ, b"", b"error: out of memory\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # compare
 # ---------------------------------------------------------------------------
@@ -835,6 +860,33 @@ def test_compare_aggregate_input(aggregate_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "entity_id,rank_a,rank_b,delta"
     assert len(lines) == 9
+
+
+# ---------------------------------------------------------------------------
+# repeated calls
+# ---------------------------------------------------------------------------
+
+def test_repeated_calls_in_one_process_are_independent(corpus_path, capsys):
+    # The argparse tree is built once per process, so no call may leave
+    # state in it that a later call reads: an appended --weight list, or
+    # what a usage error or --help parsed.
+    assert cli._build_parser() is cli._build_parser()
+    compare = ["compare", "--input", str(corpus_path), "--weight", "unity", "--weight", "x^2"]
+    assert main(compare) == EXIT_OK
+    first = capsys.readouterr()
+    assert main(compare) == EXIT_OK
+    assert capsys.readouterr() == first
+    metrics = ["metrics", "--input", str(corpus_path)]
+    assert main(metrics) == EXIT_OK
+    table = capsys.readouterr().out
+    assert main([*metrics, "--sort", "nope"]) == EXIT_DATA
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
+    assert main(["metrics", "--help"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(metrics) == EXIT_OK
+    assert capsys.readouterr().out == table
+    assert main(compare[:-2]) == EXIT_DATA
+    assert capsys.readouterr().err == "error: compare needs exactly two --weight flags, got 1\n"
 
 
 # ---------------------------------------------------------------------------
@@ -1004,3 +1056,75 @@ def test_aggregate_metrics_calls_each_traced_layer_by_name(tmp_path, monkeypatch
         ("analytics", "rank"): 1,
         ("analytics", "render_table"): 1,
     }
+
+
+def test_bench_tracer_settles_its_work_counts(tmp_path, monkeypatch, capsys):
+    # The traced benchmark counts work from what the layers return
+    # (``Corpus.dangling_refs``, ``per_paper[].paper_id``,
+    # ``RankedTable.rows``) and runs its library session, ``run.analysis``,
+    # through names of all three layers. A rename must fail the suite, not
+    # only a ``--trace 1`` run.
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    monkeypatch.syspath_prepend(str(bench))  # run.py imports its siblings
+    spec = importlib.util.spec_from_file_location("bench_run", bench / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_run", run)  # for its dataclasses
+    spec.loader.exec_module(run)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        '{"id": "p1", "authors": ["a"], "venue": "v1"}\n'
+        '{"id": "p2", "authors": ["a", "b"], "venue": "v1", "refs": ["p1", "gone"]}\n'
+        '{"id": "p3", "authors": ["c"], "venue": "v2", "refs": ["p1", "p2"]}\n',
+        encoding="utf-8",
+    )
+    aggregate = tmp_path / "entities.csv"
+    aggregate.write_text(
+        "entity_id,cd,c,sc,h\na,3,10,2,2\nb,2,4,0,1\nc,1,0,0,0\n", encoding="utf-8"
+    )
+    untraced = run.analysis(vindex, corpus, aggregate)
+    modules = {"graph": vindex.graph, "metrics": vindex.metrics, "analytics": vindex.analytics}
+    tracer = run.Tracer(modules)
+
+    def settled(name, function, *args):
+        tracer.counts.clear()
+        tracer.call(name, function, *args)
+        return dict(tracer.counts)
+
+    def cli_counts(*argv):
+        counts = settled("cli.main", main, list(argv))
+        return counts, len(capsys.readouterr().out.encode("utf-8"))
+
+    graph_counts = {"graph.papers": 3, "graph.edges": 3, "graph.dangling_refs": 1}
+    tracer.install()
+    try:
+        counts, rendered = cli_counts("metrics", "--input", str(corpus))
+        assert counts == {
+            **graph_counts, "graph.self_edges.author": 1, "graph.entities.author": 3,
+            "analytics.rows_ranked": 3, "analytics.bytes_rendered": rendered,
+        }
+        counts, rendered = cli_counts("metrics", "--input", str(corpus), "--mode", "journal")
+        assert counts == {
+            **graph_counts, "graph.self_edges.journal": 1, "graph.entities.journal": 2,
+            "analytics.rows_ranked": 2, "analytics.bytes_rendered": rendered,
+        }
+        counts, rendered = cli_counts("metrics", "--input", str(aggregate), "--kind", "aggregate")
+        assert counts == {"analytics.rows_ranked": 3, "analytics.bytes_rendered": rendered}
+        for argv in (
+            ["validate", "--input", str(corpus)],
+            ["validate", "--input", str(aggregate), "--kind", "aggregate"],
+            ["synth", "--seed", "1", "--papers", "5", "--authors", "3"],
+        ):
+            assert settled("cli.main", main, argv) == {}
+        capsys.readouterr()
+        tracer.counts.clear()
+        traced = tracer.call("analysis", run.analysis, vindex, corpus, aggregate)
+        assert dict(tracer.counts) == {
+            **graph_counts, "graph.self_edges.author": 1, "graph.entities.author": 3,
+            "analytics.rows_ranked": 6,
+            "analytics.bytes_rendered": len(f"{traced.markdown}{traced.table_csv}".encode()),
+        }
+    finally:
+        tracer.uninstall()
+    assert traced.digest() == untraced.digest()
+    # Every span the benchmark reports was entered.
+    assert {tracer.names[index] for index in tracer.name} == set(run.SPAN_NAMES)

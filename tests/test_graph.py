@@ -1286,6 +1286,22 @@ def test_aggregate_csv_audit_stops_after_an_oversized_field_only_inside_open_quo
     assert str(excinfo.value) == f"{path.name}, {errors[0]}"
 
 
+def test_aggregate_csv_reports_the_bad_line_of_a_row_left_open_by_a_csv_error(tmp_path):
+    # Line 2 holds an undecodable byte and opens a quoted field, and line 3
+    # overflows the field limit inside it. The row is refused for its bad
+    # line, not for the csv error, and as its lines end inside the open
+    # quote the pass ends: ``z",x,1,0,1`` and ``bad,1`` are not read as rows.
+    path = tmp_path / "open.csv"
+    path.write_bytes(
+        f"{CSV_HEADER}\n".encode() + b'"\xff\n' + b"q" * 131073 + b'\nz",x,1,0,1\nbad,1\n'
+    )
+    error = "line 2: invalid UTF-8 at byte 2 (invalid start byte)"
+    assert audit_aggregate(path).errors == [error]
+    with pytest.raises(CorpusParseError) as excinfo:
+        read_aggregate_csv(path)
+    assert str(excinfo.value) == f"open.csv, {error}"
+
+
 @pytest.mark.parametrize(
     "text, error",
     [
