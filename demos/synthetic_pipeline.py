@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import sys
 
-from vindex.analytics import export_citation_curves, rank, render_table
+from vindex.analytics import export_citation_curves, format_table, rank, render_table
 from vindex.graph import aggregate_all, generate_synthetic_corpus, self_citation_fraction
 from vindex.metrics import metrics_row
 
@@ -65,7 +65,7 @@ def main() -> None:
     curves = export_citation_curves(star_aggregate)
     print(f"Citation curves for the most cited author ({star_aggregate.entity_id}):")
     print(f"  area under g = {sum(curves.g)} = C, under f = {sum(curves.f)} = C - SC")
-    text = curves.to_csv()
+    text = format_table(("rank", "g", "f"), zip(range(1, len(curves.g) + 1), curves.g, curves.f))
     preview = text.splitlines()[:6]
     for line in preview:
         print(f"    {line}")

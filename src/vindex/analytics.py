@@ -4,6 +4,10 @@ This layer never touches raw counts; it consumes finished metric rows and
 entity aggregates. Numerics run at full double precision throughout, with
 rounding applied only at the rendering boundary: three decimals, ties away
 from zero.
+
+Off the CLI path, ``pearson``, ``batch_stats`` and ``export_citation_curves``
+are read by ``demos/author_rankings.py``, ``demos/synthetic_pipeline.py`` and
+the ``bench/run.py`` library session (``analysis_s``); a test pins its names.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from decimal import ROUND_HALF_UP, Context, Decimal, InvalidOperation
 from typing import TYPE_CHECKING, Iterable, Literal, NamedTuple, Sequence
 
 from .errors import DomainError
@@ -83,6 +86,7 @@ def fmt3(value: float) -> str:
     """
     if type(value) is float and -1e9 < value < 1e9 and abs((value * 1000.0) % 1.0 - 0.5) > 1e-3:
         return f"{value:.3f}"
+    from decimal import ROUND_HALF_UP, Context, Decimal, InvalidOperation
     try:
         exact = Decimal(str(value))
         if exact.is_finite():
@@ -278,23 +282,20 @@ class BatchStats(NamedTuple):
 def batch_stats(values: Sequence[float]) -> BatchStats:
     """Mean, median, sample standard deviation (n - 1), min, and max.
 
-    The mean is ``math.fsum(data) / n`` and the median the middle of the
-    sorted data (the mean of the two middle values for even n), as
-    ``statistics.fmean`` and ``statistics.median`` compute them. A single
-    observation has no dispersion, so its std_dev is 0.0.
+    The mean and median are those of ``statistics.fmean`` and ``median``.
+    A single observation has no dispersion, so its std_dev is 0.0.
     """
+    import statistics  # with fractions, which only callers of this need
     if len(values) == 0:
         raise DomainError("cannot summarize an empty batch")
     data = [float(value) for value in values]
     n = len(data)
-    mean = math.fsum(data) / n
+    mean = statistics.fmean(data)
     std_dev = 0.0
     if n > 1:
+        # statistics.stdev differs from fsum in the last bit, and by version.
         std_dev = math.sqrt(math.fsum((value - mean) ** 2 for value in data) / (n - 1))
-    ordered = sorted(data)
-    middle = n // 2
-    median = ordered[middle] if n % 2 else (ordered[middle - 1] + ordered[middle]) / 2
-    return BatchStats(mean=mean, median=median, std_dev=std_dev, min=min(data), max=max(data))
+    return BatchStats(mean, statistics.median(data), std_dev, min(data), max(data))
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +313,6 @@ class CitationCurves(NamedTuple):
 
     g: tuple[int, ...]
     f: tuple[int, ...]
-
-    def to_csv(self) -> str:
-        """CSV with header ``rank,g,f`` and one row per paper rank."""
-        return format_table(("rank", "g", "f"), zip(range(1, len(self.g) + 1), self.g, self.f))
 
 
 def export_citation_curves(aggregate: EntityAggregate) -> CitationCurves:
@@ -361,10 +358,10 @@ def format_table(
     """Write a header and rows of string cells as CSV or a Markdown pipe table.
 
     CSV also takes int cells, written as ``str`` writes them, quotes as RFC
-    4180 needs, a cell holding a CR or LF included, and ends every line with
-    a bare newline; Markdown escapes pipes inside body cells and writes each
-    line break in a cell (CRLF, CR or LF) as ``<br>``, so every row stays on
-    one line.
+    4180 needs, a cell holding a CR or LF included, ends every line with a
+    bare newline, and refuses NUL; Markdown escapes pipes inside body cells
+    and writes each line break in a cell (CRLF, CR or LF) as ``<br>``, so
+    every row stays on one line.
     """
     if format == "csv":
         # Before Python 3.13 the writer quotes a cell holding a bare CR only
@@ -374,9 +371,15 @@ def format_table(
         # bytes are 3.13's on every version.
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\r\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        parts = out.getvalue().split('"')
+        try:
+            writer.writerow(header)
+            writer.writerows(rows)
+        except csv.Error:  # 3.10's one refusal of a str or int cell: NUL
+            out.write("\0")
+        text = out.getvalue()
+        if "\0" in text:
+            raise DomainError("a CSV table cannot hold NUL")
+        parts = text.split('"')
         parts[::2] = [part.replace("\r\n", "\n") for part in parts[::2]]
         return '"'.join(parts)
     if format == "markdown":
@@ -386,11 +389,8 @@ def format_table(
         ]
         for cells in rows:
             line = "| " + " | ".join([cell.replace("|", "\\|") for cell in cells]) + " |"
-            # The separators hold no line break, so the whole line can be
-            # rewritten at once.
-            if "\n" in line or "\r" in line:
-                line = line.replace("\r\n", "<br>").replace("\r", "<br>").replace("\n", "<br>")
-            lines.append(line)
+            # No separator holds a line break, so the whole line is rewritten.
+            lines.append(line.replace("\r\n", "<br>").replace("\r", "<br>").replace("\n", "<br>"))
         return "\n".join(lines) + "\n"
     raise DomainError(f"unknown table format {format!r}")
 

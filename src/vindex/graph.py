@@ -304,7 +304,7 @@ def _corpus_records(
             text = _decode(raw)
             if line_no == 1:
                 text = text.removeprefix("\ufeff")
-            if not text.strip():
+            if not text.strip(" \t\r\n"):
                 continue
             _refuse_deep_nesting(text)
             paper, loops = _paper_from_record(json.loads(text), names)
@@ -332,10 +332,10 @@ def ingest_corpus(source: str | Path) -> Corpus:
     """Load a JSONL corpus from the file at ``source``, one paper object per
     line: the strict policy over the JSONL pass, raising its first error.
 
-    The file is read as UTF-8, and lines end only at a line feed. Blank
-    lines are skipped. A malformed line, invalid UTF-8 or an escaped lone
-    surrogate or NUL aborts with CorpusParseError, a duplicate id with
-    CorpusIntegrityError, each placed at its file name and line.
+    The file is read as UTF-8, and lines end only at a line feed. A line of
+    JSON whitespace alone is skipped. A malformed line, invalid UTF-8 or an
+    escaped lone surrogate or NUL aborts with CorpusParseError, a duplicate
+    id with CorpusIntegrityError, each placed at its file name and line.
     Self-references in ``refs`` are stripped and counted as ``self_loops``,
     duplicate refs are collapsed, and refs pointing outside the corpus are
     counted as dangling.

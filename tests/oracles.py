@@ -172,6 +172,24 @@ def synthetic_corpus_jsonl(seed: int, n_papers: int, n_authors: int, self_cite_b
     return "".join(lines)
 
 
+def csv_reference(rows) -> str:
+    """RFC 4180 CSV written one cell at a time: a cell holding a comma, a
+    quote, a CR or an LF is quoted with its quotes doubled, a row of one
+    empty cell is written as ``""``, and every line ends with a line feed."""
+    lines = []
+    for row in rows:
+        cells = []
+        for cell in row:
+            text = str(cell)
+            if any(char in text for char in ',"\r\n'):
+                text = '"' + text.replace('"', '""') + '"'
+            cells.append(text)
+        if cells == [""]:
+            cells = ['""']
+        lines.append(",".join(cells) + "\n")
+    return "".join(lines)
+
+
 def fmt3_reference(value) -> str:
     """Three decimals, ties away from zero, by rounding the value's shortest
     repr as a ``Decimal`` with 400 digits of precision, more than any float

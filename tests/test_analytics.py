@@ -24,7 +24,7 @@ from vindex.analytics import (
 from vindex.errors import DomainError
 from vindex.graph import aggregate_all, generate_synthetic_corpus, ingest_corpus
 from vindex.metrics import CitationCounts, WeightFunction, metrics_row
-from oracles import fmt3_reference, rank_reference
+from oracles import csv_reference, fmt3_reference, rank_reference
 
 
 def make_row(entity_id, cd, c, sc, h, h_star=None):
@@ -487,9 +487,11 @@ def test_citation_curves_sorted_independently(write_input):
 
 
 def test_citation_curves_csv_layout():
+    # The curve CSV as demos/synthetic_pipeline.py writes it.
     corpus = generate_synthetic_corpus(5, 25, 6, 0.5)
     agg = author_aggregate(corpus, "a001")
-    text = export_citation_curves(agg).to_csv()
+    curves = export_citation_curves(agg)
+    text = format_table(("rank", "g", "f"), zip(range(1, len(curves.g) + 1), curves.g, curves.f))
     lines = text.splitlines()
     assert lines[0] == "rank,g,f"
     assert len(lines) == agg.cd + 1
@@ -571,6 +573,33 @@ def test_format_table_csv_and_markdown():
     )
     with pytest.raises(DomainError):
         format_table(header, rows, "html")
+
+
+def test_format_table_csv_matches_a_per_cell_rfc_4180_writer():
+    rng = random.Random(4180)
+    alphabet = ["a", ",", '"', "\r", "\n", " "]
+
+    def text() -> str:
+        return "".join(rng.choice(alphabet) for _ in range(rng.choice((0, 0, 1, 2, 3, 5))))
+
+    for _ in range(3000):
+        width = rng.randint(0, 3)
+        header = [text() for _ in range(width)]
+        rows = [
+            [rng.randint(-10, 10**6) if rng.random() < 0.2 else text() for _ in range(width)]
+            for _ in range(rng.randint(0, 4))
+        ]
+        assert format_table(header, rows) == csv_reference([header, *rows]), (header, rows)
+
+
+@pytest.mark.parametrize(
+    "header, rows",
+    [(("a\0", "b"), [("x", 1)]), (("a", "b"), [("x", 1), ("y", "\0")]), (("a",), [(",\0\n",)])],
+    ids=["header", "row", "quoted"],
+)
+def test_format_table_csv_refuses_nul_on_every_version(header, rows):
+    with pytest.raises(DomainError, match="^a CSV table cannot hold NUL$"):
+        format_table(header, rows)
 
 
 def test_format_table_markdown_writes_line_breaks_as_br():

@@ -998,11 +998,15 @@ def test_output_is_the_same_under_every_hash_seed(tmp_path):
 
 def test_import_loads_no_numpy_or_scipy():
     # nor logging: warnings are the CLI's to print, so the library keeps none;
-    # nor statistics and the fractions it pulls in, which batch_stats does without;
+    # nor statistics and the fractions it pulls in, which batch_stats imports
+    # when called; nor decimal and its numbers, which only fmt3's near-ties need;
     # nor dataclasses and the inspect it pulls in: the records are named tuples
     src = str(Path(vindex.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    absent = ("numpy", "scipy", "logging", "statistics", "fractions", "dataclasses", "inspect")
+    absent = (
+        "numpy", "scipy", "logging", "statistics", "fractions", "decimal", "numbers",
+        "dataclasses", "inspect",
+    )
     probe = (
         "import sys, vindex, vindex.cli\n"
         f"print(sorted(m for m in sys.modules if m.split('.')[0] in {absent!r}))"

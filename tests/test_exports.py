@@ -208,6 +208,7 @@ def test_deleted_members_are_gone():
         assert not hasattr(metrics.WeightFunction, name), name
     assert analytics.RankedTable._fields == ("rows",)
     assert analytics.CorrelationResult._fields == ("rho", "p_value")
+    assert not hasattr(analytics.CitationCurves, "to_csv")
     assert list(inspect.signature(graph.self_citation_fraction).parameters) == ["corpus"]
     assert "__init__" not in vars(errors.VindexError)
     error = errors.VindexError("line 2: message")

@@ -143,6 +143,20 @@ def test_ingest_skips_blank_lines(write_input):
     assert len(ingest_corpus(write_input(text)).papers) == 2
 
 
+@pytest.mark.parametrize(
+    "space", ["\u00a0", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\u2028", "\u2029", "\u3000 \t"]
+)
+def test_a_line_of_non_json_whitespace_is_invalid_json_not_blank(write_input, space):
+    # str.strip() strips each of these, and json.loads rejects each: a line
+    # is blank only when it holds nothing but spaces, tabs and CRs.
+    blank = " \t \r"
+    path = write_input(['{"id": "p1", "authors": ["a"]}', blank, space, '{"id": "p2", "authors": ["b"]}'])
+    with pytest.raises(CorpusParseError, match=r", line 3: invalid JSON \(Expecting value\)$"):
+        ingest_corpus(path)
+    assert audit_corpus(path) == AuditReport(["line 3: invalid JSON (Expecting value)"], [])
+    assert len(ingest_corpus(write_input(['{"id": "p1", "authors": ["a"]}', blank])).papers) == 1
+
+
 def test_ingest_counts_dangling_refs(write_input):
     corpus = ingest_corpus(
         write_input(
@@ -968,6 +982,14 @@ def test_h_star_never_exceeds_h():
 # ---------------------------------------------------------------------------
 # aggregate CSV interchange
 # ---------------------------------------------------------------------------
+
+def test_write_aggregate_csv_refuses_nul_on_every_version():
+    # Both readers refuse NUL, so only a hand-built corpus can hold one; the
+    # csv writer of 3.10 raises its own error for it, and later ones write it.
+    corpus = Corpus({"p1": Paper("p1", ("a\0b",))})
+    with pytest.raises(DomainError, match="^a CSV table cannot hold NUL$"):
+        write_aggregate_csv(aggregate_all(corpus, "author"))
+
 
 def test_aggregate_csv_round_trip(write_input, handmade):
     text = write_aggregate_csv(aggregate_all(handmade, "author"))
