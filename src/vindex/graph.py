@@ -12,12 +12,13 @@ mode, where a paper without a venue has none.
 
 Each input format is read from a file, given by its path, in one pass:
 ``_corpus_records`` for JSONL and ``_aggregate_rows`` for the aggregate CSV.
-A pass yields every record, or the error that rejects it, with its line.
-Two policies read each pass: the strict readers (``ingest_corpus``,
-``read_aggregate_csv``) raise the first error, and the audits
-(``audit_corpus``, ``audit_aggregate``) collect every one. A check and its
-message are therefore written once for both, and its place once, by ``_at``
-in the policy.
+A pass fills the result it is handed with every record it accepts, and
+yields each error with its line. Two policies read each pass: the strict
+readers (``ingest_corpus``, ``read_aggregate_csv``) raise the first error,
+else return what the pass built, and the audits (``audit_corpus``,
+``audit_aggregate``) collect every one. A check and its message are
+therefore written once for both, and its place once, by ``_at`` in the
+policy.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ import random
 import re
 import sys
 from bisect import insort
-from collections import defaultdict
+from collections import defaultdict, deque
 from pathlib import Path
-from typing import Iterable, Iterator, Literal, NamedTuple
+from typing import Iterable, Iterator, Literal, MutableSequence, NamedTuple
 
 from .analytics import format_table
 from .errors import (
@@ -85,8 +86,8 @@ class Paper(NamedTuple):
 class Corpus:
     """A set of papers keyed by id.
 
-    ``self_loops`` counts the self-references ``ingest_corpus`` stripped
-    from refs.
+    ``self_loops`` counts the self-references stripped from the refs of its
+    papers when the corpus was read.
     """
 
     __slots__ = ("papers", "self_loops")
@@ -287,17 +288,19 @@ _JSON_REASONS = {
 
 
 def _corpus_records(
-    lines: Iterable[bytes],
+    lines: Iterable[bytes], corpus: Corpus
 ) -> Iterator[tuple[int, Paper | None, int, VindexError | None]]:
     """The one pass over JSONL lines, shared by ``ingest_corpus`` and
-    ``audit_corpus``. For each non-blank line: its number, its paper, the
-    number of self-references stripped from that paper, and the error that
-    rejects the line, bare for the policy to place, or None. A line that
-    does not parse has no paper; a duplicate id keeps its paper, so its
+    ``audit_corpus``. It adds each accepted paper to ``corpus``, and the
+    self-references stripped from it to ``corpus.self_loops``. For each line
+    refused or stripped of a self-reference, it yields the line's number,
+    its paper (None if the line does not parse), the number stripped, and
+    the bare error for the policy to place, or None. A duplicate id is one
+    already in ``corpus``; its paper is yielded with the error, so its
     stripped self-references are still reported. A byte-order mark opening
     line 1 is dropped, as the CSV pass drops it from its header. Equal
     strings of the whole pass share one object."""
-    seen: set[str] = set()
+    papers = corpus.papers
     names: dict[str, str] = {}
     for line_no, raw in enumerate(lines, start=1):
         try:
@@ -321,11 +324,13 @@ def _corpus_records(
             reason = _JSON_REASONS.get(reason, reason)
             yield line_no, None, 0, CorpusParseError(f"invalid JSON ({reason})")
         else:
-            error = None
-            if paper.id in seen:
+            # ``setdefault`` adds a new id's paper and keeps a duplicate's first one.
+            if papers.setdefault(paper.id, paper) is not paper:
                 error = CorpusIntegrityError(f"duplicate paper id {paper.id!r}")
-            seen.add(paper.id)
-            yield line_no, paper, loops, error
+                yield line_no, paper, loops, error
+            elif loops:
+                corpus.self_loops += loops
+                yield line_no, paper, loops, None
 
 
 def ingest_corpus(source: str | Path) -> Corpus:
@@ -345,15 +350,12 @@ def ingest_corpus(source: str | Path) -> Corpus:
     also its key in ``papers``.
     """
     path = Path(source)
-    papers: dict[str, Paper] = {}
-    self_loops = 0
+    corpus = Corpus({})
     with open(path, "rb") as lines:
-        for line, paper, loops, error in _corpus_records(lines):
+        for line, _, _, error in _corpus_records(lines, corpus):
             if error is not None:
                 raise _at(error, line, path.name)
-            papers[paper.id] = paper
-            self_loops += loops
-    return Corpus(papers=papers, self_loops=self_loops)
+    return corpus
 
 
 def serialize_corpus(corpus: Corpus) -> str:
@@ -589,16 +591,16 @@ def _quote_left_open(text: str) -> bool:
 
 
 def _aggregate_rows(
-    lines: Iterable[str],
-) -> Iterator[tuple[int, tuple[str, CitationCounts] | None, VindexError | None]]:
+    lines: Iterable[str], rows: MutableSequence[tuple[str, CitationCounts]]
+) -> Iterator[tuple[int, VindexError]]:
     """The one pass over aggregate CSV lines, shared by
-    ``read_aggregate_csv`` and ``audit_aggregate``: each data row's line,
-    then its entity and counts or None, then the bare error that rejects
-    it, which the policy places. The first row is the header. A row is
-    refused for its undecodable or NUL lines, or else for its csv error.
-    A refused row ends the pass when it is the header, or when its lines
-    end inside a quoted field: the reader starts afresh on the next line,
-    so the rest of that field would be read as rows."""
+    ``read_aggregate_csv`` and ``audit_aggregate``: it appends each data
+    row's entity and counts to ``rows`` and yields each refused row's line
+    and the bare error that rejects it, for the policy to place. The first
+    row is the header. A row is refused for its undecodable or NUL lines,
+    or else for its csv error. A refused row ends the pass when it is the
+    header, or when its lines end inside a quoted field: the reader starts
+    afresh on the next line, so the rest of that field would be read as rows."""
     bad: list[tuple[int, CorpusParseError]] = []
     record: list[str] = []
     reader = csv.reader(_csv_lines(lines, bad, record), strict=True)
@@ -613,7 +615,7 @@ def _aggregate_rows(
         except csv.Error as exc:
             error = CorpusParseError(str(exc))
         if bad or error:
-            yield from ((line, None, exc) for line, exc in bad or [(reader.line_num, error)])
+            yield from bad or [(reader.line_num, error)]
             bad.clear()
             if seen is None or _quote_left_open("".join(record)):
                 return
@@ -621,7 +623,7 @@ def _aggregate_rows(
             if fields:
                 fields[0] = fields[0].removeprefix("\ufeff")
             if tuple(fields) != AGGREGATE_CSV_COLUMNS:
-                yield 1, None, CorpusParseError(
+                yield 1, CorpusParseError(
                     f"header must be exactly {','.join(AGGREGATE_CSV_COLUMNS)!r}, "
                     f"got {','.join(fields)!r}"
                 )
@@ -629,13 +631,11 @@ def _aggregate_rows(
             seen = set()
         elif fields:
             try:
-                row = _row_from_fields(fields, seen)
+                rows.append(_row_from_fields(fields, seen))
             except VindexError as exc:
-                yield reader.line_num, None, exc
-            else:
-                yield reader.line_num, row, None
+                yield reader.line_num, exc
     if seen is None:
-        yield 1, None, CorpusParseError("empty file, expected a header row")
+        yield 1, CorpusParseError("empty file, expected a header row")
 
 
 def read_aggregate_csv(source: str | Path) -> list[tuple[str, CitationCounts]]:
@@ -655,10 +655,8 @@ def read_aggregate_csv(source: str | Path) -> list[tuple[str, CitationCounts]]:
     path = Path(source)
     rows: list[tuple[str, CitationCounts]] = []
     with open(path, encoding="utf-8", errors="surrogateescape", newline="") as lines:
-        for line, row, error in _aggregate_rows(lines):
-            if error is not None:
-                raise _at(error, line, path.name)
-            rows.append(row)
+        for line, error in _aggregate_rows(lines, rows):
+            raise _at(error, line, path.name)
     return rows
 
 
@@ -694,22 +692,20 @@ def audit_corpus(source: str | Path, mode: Mode = "author") -> AuditReport:
     """
     _check_mode(mode)
     report = AuditReport([], [])
-    papers: dict[str, Paper] = {}
+    corpus = Corpus({})
     with open(Path(source), "rb") as lines:
-        for line, paper, loops, error in _corpus_records(lines):
+        for line, paper, loops, error in _corpus_records(lines, corpus):
             if loops:
                 stripped = f"paper {paper.id!r} cites itself ({loops} entry(ies) stripped)"
                 report.warnings.append(f"line {line}: {stripped}")
             if error is not None:
                 report.errors.append(str(_at(error, line)))
-            else:
-                papers[paper.id] = paper
-    dangling = Corpus(papers).dangling_refs
+    dangling = corpus.dangling_refs
     if dangling:
         report.warnings.append(
             f"{dangling} reference(s) point outside the corpus and will be ignored"
         )
-    missing_venue = sum(paper.venue is None for paper in papers.values())
+    missing_venue = sum(paper.venue is None for paper in corpus.papers.values())
     if mode == "journal" and missing_venue:
         report.warnings.append(
             f"{missing_venue} paper(s) have no venue; their citations count as genuine"
@@ -721,7 +717,7 @@ def audit_aggregate(source: str | Path) -> AuditReport:
     """Check the aggregate CSV at ``source``: header, field types, and count
     invariants. The audit policy over the CSV pass that
     ``read_aggregate_csv`` reads: it collects every error instead of
-    raising the first."""
+    raising the first, and its rows go to a sink that keeps none."""
     with open(Path(source), encoding="utf-8", errors="surrogateescape", newline="") as lines:
-        rows = _aggregate_rows(lines)
-        return AuditReport([str(_at(error, line)) for line, _, error in rows if error], [])
+        errors = _aggregate_rows(lines, deque(maxlen=0))
+        return AuditReport([str(_at(error, line)) for line, error in errors], [])

@@ -584,6 +584,21 @@ def test_ingest_rejects_duplicate_ids(write_input):
     assert str(excinfo.value) == f"{path.name}, line 2: duplicate paper id 'p1'"
 
 
+def test_a_line_refused_for_another_reason_does_not_claim_its_id(write_input):
+    # Only an accepted paper enters the id index, so line 2 is no duplicate,
+    # and its dangling ref is counted from the corpus it entered.
+    path = write_input(
+        ['{"id": "p1", "authors": ["a\\u0000"]}', '{"id": "p1", "authors": ["b"], "refs": ["ghost"]}']
+    )
+    assert audit_corpus(path) == AuditReport(
+        errors=["line 1: 'authors' holds NUL"],
+        warnings=["1 reference(s) point outside the corpus and will be ignored"],
+    )
+    with pytest.raises(CorpusParseError) as excinfo:
+        ingest_corpus(path)
+    assert str(excinfo.value) == f"{path.name}, line 1: 'authors' holds NUL"
+
+
 def test_parse_error_names_the_file(tmp_path):
     path = tmp_path / "broken.jsonl"
     path.write_text("{oops\n", encoding="utf-8")

@@ -1,7 +1,7 @@
 """Seeded fuzzing of the JSONL corpus boundary.
 
 Corpora are written by ``json.dumps`` from adversarial strings and values,
-and mutated copies of them insert, delete and flip bytes. Four properties
+and mutated copies of them insert, delete and flip bytes. Five properties
 hold for every case:
 
 * when ``ingest_corpus`` reads a file, ``serialize_corpus`` of what it read
@@ -14,7 +14,12 @@ hold for every case:
   one ``error:`` line, the file name and that first audit error, which
   names a line;
 * ``vindex validate`` in the same mode returns what ``metrics`` does, and
-  lists the audit's errors first.
+  lists the audit's errors first;
+* when the audit reports no error, its warnings agree with the corpus that
+  ``ingest_corpus`` returns: one stripped-self-reference warning for each
+  of its ``self_loops``, then the dangling warning giving its
+  ``dangling_refs``, and in journal mode the venue-less warning giving the
+  number of its papers without a venue, each absent when its number is 0.
 
 The generators are in ``fuzzing.py``. Tier-1 runs a fixed range of
 seeds; ``VINDEX_FUZZ_SEEDS=START:STOP`` runs another range.
@@ -52,15 +57,28 @@ def _check_round_trip(path) -> None:
 
 
 def _check_strict_read_and_cli(path, mode: str) -> None:
-    """Properties (b), (c) and (d)."""
-    errors = audit_corpus(path, mode).errors
+    """Properties (b) to (e)."""
+    errors, warnings = audit_corpus(path, mode)
     try:
-        ingest_corpus(path)
+        corpus = ingest_corpus(path)
     except VindexError as exc:
         assert errors != []
         assert str(exc) == f"{path.name}, {errors[0]}"
     else:
         assert errors == []
+        totals = []
+        if corpus.dangling_refs:
+            totals.append(
+                f"{corpus.dangling_refs} reference(s) point outside the corpus and will be ignored"
+            )
+        venueless = sum(paper.venue is None for paper in corpus.papers.values())
+        if mode == "journal" and venueless:
+            totals.append(f"{venueless} paper(s) have no venue; their citations count as genuine")
+        stripped = warnings[: len(warnings) - len(totals)]
+        assert warnings[len(stripped) :] == totals
+        assert len(stripped) == corpus.self_loops
+        one_stripped = r"line [0-9]+: paper .* cites itself \(1 entry\(ies\) stripped\)"
+        assert all(re.fullmatch(one_stripped, warning) for warning in stripped)
     stderr = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
         code = main(["metrics", "--input", str(path), "--mode", mode])
