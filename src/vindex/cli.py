@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -43,7 +44,15 @@ def _emit(text: str, output_path: Path | None) -> None:
         output_path.write_bytes(text.encode("utf-8"))
     elif hasattr(sys.stdout, "buffer"):
         sys.stdout.flush()
-        sys.stdout.buffer.write(text.encode("utf-8"))
+        data = memoryview(text.encode("utf-8"))
+        try:
+            while data:  # an unbuffered stdout may take part of the bytes
+                data = data[sys.stdout.buffer.write(data):]
+            sys.stdout.buffer.flush()
+        except BrokenPipeError:  # main reports it; the flush at exit goes to os.devnull
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+            raise
     else:
         sys.stdout.write(text)
 

@@ -7,8 +7,9 @@ serialization unchanged.
 
 Both entity modes follow one owner rule: a paper credits every one of its
 owners, and an edge is a self-citation when its two papers share an owner.
-A paper's owners are its authors in author mode and its venue in journal
-mode, where a paper without a venue has none.
+A paper's owners are its authors in author mode, where a name listed twice
+owns the paper once, and its venue in journal mode, where a paper without a
+venue has none.
 
 Each input format is read from a file, given by its path, in one pass:
 ``_corpus_records`` for JSONL and ``_aggregate_rows`` for the aggregate CSV.
@@ -385,39 +386,37 @@ def _check_mode(mode: str) -> None:
         raise DomainError(f"unknown entity mode {mode!r}; expected 'author' or 'journal'")
 
 
-def _owners(corpus: Corpus, mode: Mode) -> list[frozenset[str]]:
-    """Each paper's owners, in corpus order: its authors in author mode, and
-    in journal mode its venue, or none for a paper without one."""
-    papers = corpus.papers.values()
-    if mode == "author":
-        return [frozenset(paper.authors) for paper in papers]
-    return [frozenset(() if paper.venue is None else (paper.venue,)) for paper in papers]
-
-
-def _received_counts(corpus: Corpus, owners: list[frozenset[str]]) -> list[PaperCitations]:
-    """Per paper, in corpus order, the record all its owners share: the
-    citations it received over in-corpus edges, each ref resolved once to a
-    position and a dangling one skipped, and the subset where ``owners`` meet."""
+def _received_counts(
+    corpus: Corpus, mode: Mode
+) -> Iterator[tuple[tuple[str, ...], PaperCitations]]:
+    """Per paper, in corpus order, its owners (``paper.authors``, or in journal
+    mode one tuple per venue, empty without one) and the record they share:
+    the citations it received over in-corpus edges, each ref resolved once to
+    a position and a dangling one skipped, and those from papers sharing one."""
     papers = corpus.papers
+    if mode == "author":
+        owners = [paper.authors for paper in papers.values()]
+    else:
+        venues: dict[str | None, tuple[str, ...]] = {None: ()}
+        owners = [venues.setdefault(paper.venue, (paper.venue,)) for paper in papers.values()]
     index = {pid: i for i, pid in enumerate(papers)}
     gross, own = [0] * len(index), [0] * len(index)
-    for mine, citing in zip(owners, papers.values()):
+    for mine, citing in zip(map(frozenset, owners), papers.values()):
         for j in map(index.get, citing.refs):
             if j is not None:
                 gross[j] += 1
                 if not mine.isdisjoint(owners[j]):
                     own[j] += 1
-    return list(map(PaperCitations, papers, gross, own))
+    return zip(owners, map(PaperCitations, papers, gross, own))
 
 
 def aggregate_all(corpus: Corpus, mode: Mode) -> list[EntityAggregate]:
     """One aggregate per distinct entity, in lexicographic entity order.
     An entity's papers keep corpus order in ``per_paper``."""
     _check_mode(mode)
-    owners = _owners(corpus, mode)
     owned: dict[str, list[PaperCitations]] = {}
-    for keys, record in zip(owners, _received_counts(corpus, owners)):
-        for key in keys:
+    for keys, record in _received_counts(corpus, mode):
+        for key in frozenset(keys):
             owned.setdefault(key, []).append(record)
     aggregates = []
     for entity_id in sorted(owned):
@@ -433,7 +432,7 @@ def aggregate_all(corpus: Corpus, mode: Mode) -> list[EntityAggregate]:
 def self_citation_fraction(corpus: Corpus) -> float:
     """Share of in-corpus citation edges classified self in author mode;
     0.0 for no edges."""
-    records = _received_counts(corpus, _owners(corpus, "author"))
+    records = [record for _, record in _received_counts(corpus, "author")]
     total = sum(record.citations_received for record in records)
     return sum(record.self_citations_received for record in records) / total if total else 0.0
 

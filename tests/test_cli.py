@@ -925,6 +925,64 @@ def test_stdout_is_utf8_whatever_its_encoding(encoding, tmp_path):
             assert output.read_bytes() == utf8.stdout
 
 
+def _stdout_env(unbuffered: bool) -> dict[str, str]:
+    """The environment of a ``python -m vindex`` child: buffered stdout is
+    the default, and ``PYTHONUNBUFFERED=1`` writes to the pipe at once."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(vindex.__file__).resolve().parent.parent)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("command", ["metrics", "validate", "synth", "compare"])
+def test_a_closed_stdout_pipe_is_one_error_line_and_exit_1(command, unbuffered, corpus_path):
+    argv = [command, "--input", str(corpus_path)]
+    if command == "synth":
+        argv = [command, "--seed", "1", "--papers", "5", "--authors", "3"]
+    # The read end is closed before the child starts, so its first write fails.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "vindex", *argv],
+            env=_stdout_env(unbuffered),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            check=False,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == EXIT_READ
+    # One line, with no "Exception ignored" report from the final flush.
+    assert done.stderr == b"error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_stdout_pipe_closed_mid_write_is_one_error_line_and_exit_1(unbuffered):
+    # About 210 kB of output, more than a pipe holds: the reader takes a few
+    # bytes and leaves while the child is still writing.
+    argv = ["synth", "--seed", "1", "--papers", "2000", "--authors", "300"]
+    read_end, write_end = os.pipe()
+    try:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "vindex", *argv],
+            env=_stdout_env(unbuffered),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    try:
+        assert os.read(read_end, 16)
+    finally:
+        os.close(read_end)
+    _, stderr = child.communicate()
+    assert child.returncode == EXIT_READ
+    assert stderr == b"error: [Errno 32] Broken pipe\n"
+
+
 # ---------------------------------------------------------------------------
 # hash seeds
 # ---------------------------------------------------------------------------
