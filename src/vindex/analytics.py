@@ -371,11 +371,8 @@ def format_table(
         # bytes are 3.13's on every version.
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\r\n")
-        try:
-            writer.writerow(header)
-            writer.writerows(rows)
-        except csv.Error:  # 3.10's one refusal of a str or int cell: NUL
-            out.write("\0")
+        writer.writerow(header)
+        writer.writerows(rows)
         text = out.getvalue()
         if "\0" in text:
             raise DomainError("a CSV table cannot hold NUL")

@@ -112,8 +112,9 @@ class Corpus:
 
     @property
     def missing_venue_edges(self) -> int:
-        """In-corpus citation edges with no venue on one side or both;
-        journal mode classifies them genuine."""
+        """In-corpus citation edges with no venue on one side or both. Journal
+        mode counts one from a venue-less paper as genuine, and one into a
+        venue-less paper for no journal."""
         papers = self.papers
         venueless = {pid for pid, paper in papers.items() if paper.venue is None}
         count = 0
@@ -176,11 +177,11 @@ def _csv_lines(
     lines: Iterable[str], bad: list[tuple[int, CorpusParseError]], record: list[str]
 ) -> Iterator[str]:
     """The lines of a file read as UTF-8 with ``surrogateescape``, for
-    ``csv.reader``. A line with an undecodable byte or a NUL (which ``csv``
-    reads only from Python 3.11 on) goes into ``bad`` with its number and
-    on to the reader with replacement characters, so the reader keeps its
-    place and the caller can reject the row it lands in. Each line is also
-    appended to ``record``, emptied at every row."""
+    ``csv.reader``. A line with an undecodable byte or a NUL, which no CSV
+    table the library writes can hold, goes into ``bad`` with its number
+    and on to the reader, undecodable bytes as replacement characters, so
+    the reader keeps its place and the caller can reject the row it lands
+    in. Each line is also appended to ``record``, emptied at every row."""
     for line_no, text in enumerate(lines, start=1):
         if not text.isascii():
             raw = text.encode("utf-8", "surrogateescape")
@@ -191,7 +192,6 @@ def _csv_lines(
                 text = raw.decode("utf-8", "replace")
         if "\0" in text:
             bad.append((line_no, CorpusParseError("line contains NUL")))
-            text = text.replace("\0", "\ufffd")
         record.append(text)
         yield text
 
@@ -206,7 +206,7 @@ def _string_list(value: object, what: str) -> list[str]:
 
 # Decoded UTF-8 holds no surrogate and JSON no raw NUL, so only a line with
 # a JSON escape of one can give a string a lone surrogate, which no UTF-8
-# output can write, or a NUL, which CSV output cannot write before 3.11.
+# output can write, or a NUL, which no CSV table the library writes holds.
 _UNWRITABLE_ESCAPE = re.compile(r"\\u(?:[dD][89a-fA-F]|0000)")
 _UNWRITABLE = re.compile("[\0\ud800-\udfff]")
 

@@ -173,9 +173,6 @@ ID_PIECES = (
     '"', ",", "\r", "\n", "\r\n", " ", "\u2028", "\u0085", "\ufeff", '""', "a", "\u03a9", "x1",
     "\0",
 )
-# csv.writer refuses NUL before Python 3.11, so it writes this stand-in,
-# which no piece holds, and the text gets NUL back after.
-NUL_STAND_IN = "\x01"
 
 # Bytes a mutation inserts or writes over: the CSV syntax, digits, a minus,
 # and the starts of a BOM, of U+2028 and of invalid UTF-8.
@@ -212,7 +209,7 @@ def aggregate_file(
     writer.writerow(AGGREGATE_CSV_COLUMNS)
     writer.writerows(
         (
-            name.replace("\0", NUL_STAND_IN),
+            name,
             c.citable_documents,
             c.citations_total,
             c.self_citations,
@@ -220,7 +217,7 @@ def aggregate_file(
         )
         for name, c in rows.items()
     )
-    return out.getvalue().replace(NUL_STAND_IN, "\0"), list(rows.items())
+    return out.getvalue(), list(rows.items())
 
 
 def aggregate_cases(seed: int) -> list[bytes]:

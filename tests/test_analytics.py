@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 import random
 import statistics
@@ -600,6 +601,13 @@ def test_format_table_csv_matches_a_per_cell_rfc_4180_writer():
 def test_format_table_csv_refuses_nul_on_every_version(header, rows):
     with pytest.raises(DomainError, match="^a CSV table cannot hold NUL$"):
         format_table(header, rows)
+
+
+def test_format_table_csv_does_not_call_a_bad_row_nul():
+    # Only a cell holding NUL is refused as NUL; csv.writer's own error for
+    # a row that is not a sequence reaches the caller as it is.
+    with pytest.raises(csv.Error, match="^iterable expected, not int$"):
+        format_table(("h",), [5])
 
 
 def test_format_table_markdown_writes_line_breaks_as_br():

@@ -459,7 +459,7 @@ def test_ingest_and_audit_reject_a_lone_surrogate(write_input, record, what):
     ],
 )
 def test_readers_and_cli_reject_an_escaped_nul(tmp_path, capsys, record, what):
-    # csv cannot write NUL before Python 3.11, so no version reads it.
+    # No CSV table the library writes can hold NUL, so no reader accepts it.
     path = tmp_path / "nul.jsonl"
     path.write_text('{"id": "p1", "authors": ["a"]}\n' + record + "\n", encoding="utf-8")
     error = f"line 2: '{what}' holds NUL"
@@ -757,7 +757,8 @@ def test_papers_without_venue_are_not_journal_entities(write_input):
 
 
 def test_journal_mode_warns_about_missing_venues(write_input, handmade):
-    # the CLI warns with this count in journal mode; each edge counts genuine
+    # the CLI warns with this count in journal mode, though only some of the
+    # edges count as genuine
     corpus = ingest_corpus(
         write_input(
             [
@@ -769,9 +770,12 @@ def test_journal_mode_warns_about_missing_venues(write_input, handmade):
         )
     )
     # p2->p1, p3->p2, p4->p2 and p4->p3 lack a venue; p3->p1 and the
-    # dangling ref do not count
+    # dangling ref do not count. Into J1, p2->p1 and p4->p3 are genuine and
+    # p3->p1 is self; p3->p2 and p4->p2 cite a venue-less paper, so they
+    # count for no journal.
     assert corpus.missing_venue_edges == 4
-    assert {agg.entity_id: agg.sc for agg in aggregate_all(corpus, "journal")} == {"J1": 1}
+    journals = {agg.entity_id: (agg.c, agg.sc) for agg in aggregate_all(corpus, "journal")}
+    assert journals == {"J1": (3, 1)}
     assert handmade.missing_venue_edges == 0
 
 
@@ -1042,8 +1046,8 @@ def test_h_star_never_exceeds_h():
 # ---------------------------------------------------------------------------
 
 def test_write_aggregate_csv_refuses_nul_on_every_version():
-    # Both readers refuse NUL, so only a hand-built corpus can hold one; the
-    # csv writer of 3.10 raises its own error for it, and later ones write it.
+    # Both readers refuse NUL, so only a hand-built corpus can hold one;
+    # csv.writer writes it, and the table refuses it after.
     corpus = Corpus({"p1": Paper("p1", ("a\0b",))})
     with pytest.raises(DomainError, match="^a CSV table cannot hold NUL$"):
         write_aggregate_csv(aggregate_all(corpus, "author"))
@@ -1241,8 +1245,7 @@ def test_aggregate_csv_rejects_invalid_utf8_with_its_line(tmp_path):
 
 def test_readers_and_cli_reject_a_csv_line_holding_nul(tmp_path, capsys):
     # Each line holding NUL is refused, inside a quoted field or not, and
-    # the audit reads on: the same on every Python version, though csv
-    # reads NUL only from 3.11 on.
+    # the audit reads on, though csv.reader would read the NUL.
     path = tmp_path / "stats.csv"
     path.write_bytes(
         b'entity_id,cd,c,sc,h\r\n"\0\r\n\r\ra",5,2,1,4\r\nC\0D,3,10,2,2\r\nok,3,10,2,2\r\n'

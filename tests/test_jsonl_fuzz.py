@@ -115,8 +115,9 @@ def test_the_generator_reaches_both_outcomes(tmp_path):
 
 
 # Minimized from seeds 184 and 190, which hold an author or a venue with the
-# escape \u0000. Python 3.10's csv cannot write NUL, so `vindex metrics`
-# died with a traceback and exit 1 when it rendered that name.
+# escape \u0000. A CSV table cannot hold NUL, so the readers refuse such a
+# name before `vindex metrics` renders it; rendering it once ended in a
+# traceback and exit 1.
 @pytest.mark.parametrize(
     "record, mode, what",
     [

@@ -11,7 +11,7 @@ The cross-version pin is ``fuzzing.digest()``: the exit code, stdout,
 stderr and written files of a fixed seed set of the JSONL, aggregate CSV
 and argv fuzz cases. Argparse's help and usage text differ by Python
 version, so for those runs it holds only the exit code and what the usage
-error names. The pin is the same on Python 3.10 to 3.13; without pytest,
+error names. The pin is the same on Python 3.11 to 3.13; without pytest,
 ``PYTHONPATH=src python tests/fuzzing.py`` prints the digest to compare.
 """
 
