@@ -71,13 +71,13 @@ def _entity_counts(
     args: argparse.Namespace, mode: graph.Mode
 ) -> list[tuple[str, metrics.CitationCounts, int | None]]:
     """Entity counts plus h* (None when the input is pre-aggregated). A corpus
-    warns of stripped self-references and, in journal mode, venue-less edges."""
+    warns of stripped self-references and, in journal mode, venue-less papers."""
     if args.kind == "corpus":
         corpus = graph.ingest_corpus(args.input)
         if corpus.self_loops:
             _warn(f"stripped {corpus.self_loops} self-referencing citation(s)")
-        if mode == "journal" and (missing := corpus.missing_venue_edges):
-            _warn(f"{missing} citation edge(s) lack venue metadata and were classified genuine")
+        if mode == "journal" and (venueless := corpus.venueless):
+            _warn(graph.VENUELESS_WARNING.format(venueless))
         return [
             (agg.entity_id, agg.counts(), agg.h_star)
             for agg in graph.aggregate_all(corpus, mode)

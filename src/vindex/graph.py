@@ -49,10 +49,18 @@ MODES = ("author", "journal")
 
 AGGREGATE_CSV_COLUMNS = ("entity_id", "cd", "c", "sc", "h")
 
+# The journal-mode warning of ``audit_corpus`` and of the CLI, given
+# ``Corpus.venueless``.
+VENUELESS_WARNING = (
+    "{} paper(s) have no venue: a citation such a paper makes counts as genuine, "
+    "and one it receives counts for no journal"
+)
+
 __all__ = [
     "Mode",
     "MODES",
     "AGGREGATE_CSV_COLUMNS",
+    "VENUELESS_WARNING",
     "Paper",
     "Corpus",
     "PaperCitations",
@@ -111,17 +119,9 @@ class Corpus:
         return sum(1 for paper in papers.values() for ref in paper.refs if ref not in papers)
 
     @property
-    def missing_venue_edges(self) -> int:
-        """In-corpus citation edges with no venue on one side or both. Journal
-        mode counts one from a venue-less paper as genuine, and one into a
-        venue-less paper for no journal."""
-        papers = self.papers
-        venueless = {pid for pid, paper in papers.items() if paper.venue is None}
-        count = 0
-        for paper in papers.values():
-            targets = papers if paper.venue is None else venueless
-            count += sum(map(targets.__contains__, paper.refs))
-        return count
+    def venueless(self) -> int:
+        """Papers without a venue, which have no owner in journal mode."""
+        return sum(paper.venue is None for paper in self.papers.values())
 
 
 class PaperCitations(NamedTuple):
@@ -704,11 +704,8 @@ def audit_corpus(source: str | Path, mode: Mode = "author") -> AuditReport:
         report.warnings.append(
             f"{dangling} reference(s) point outside the corpus and will be ignored"
         )
-    missing_venue = sum(paper.venue is None for paper in corpus.papers.values())
-    if mode == "journal" and missing_venue:
-        report.warnings.append(
-            f"{missing_venue} paper(s) have no venue; their citations count as genuine"
-        )
+    if mode == "journal" and (venueless := corpus.venueless):
+        report.warnings.append(VENUELESS_WARNING.format(venueless))
     return report
 
 

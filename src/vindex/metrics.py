@@ -123,8 +123,9 @@ class WeightFunction(_WeightFields):
         """Parse a weight spec string.
 
         Accepted forms: "sqrt", "unity", "linear", "x^N" and "x^(1/N)" with
-        N >= 2 written in at most 308 ASCII digits. Anything else raises
-        DomainError.
+        N >= 2 written in at most 308 ASCII digits, in any letter case, and
+        with any whitespace before or after the form, which is dropped.
+        Anything else, such as whitespace inside the form, raises DomainError.
         """
         text = spec.strip().lower()
         if text in _NAMED_WEIGHTS:

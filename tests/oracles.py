@@ -115,16 +115,11 @@ def self_citation_fraction_from_jsonl(text: str) -> float:
     return sum(labels) / len(labels) if labels else 0.0
 
 
-def missing_venue_edges_from_jsonl(text: str) -> int:
-    """In-corpus citation edges where either paper's venue is absent or
-    empty, looking at one edge at a time."""
-    _, by_id, incoming = _read(text)
-    return sum(
-        1
-        for cited_id, citers in incoming.items()
-        for citing_id in citers
-        if not by_id[citing_id].get("venue") or not by_id[cited_id].get("venue")
-    )
+def venueless_papers_from_jsonl(text: str) -> int:
+    """Papers whose venue is absent or empty, looking at one record at a
+    time: an empty venue is none, as ingest reads it."""
+    papers, _, _ = _read(text)
+    return sum(1 for paper in papers if not paper.get("venue"))
 
 
 _VENUES = tuple(f"v{i:02d}" for i in range(1, 7))

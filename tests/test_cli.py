@@ -611,7 +611,8 @@ MESSY_REPORT = [
         (
             "journal",
             [
-                "warning: 1 paper(s) have no venue; their citations count as genuine",
+                "warning: 1 paper(s) have no venue: a citation such a paper makes counts as "
+                "genuine, and one it receives counts for no journal",
                 "4 error(s), 4 warning(s)",
             ],
         ),
@@ -813,6 +814,11 @@ WARNED_CORPUS = (
     '{"id": "p3", "authors": ["ann", "cara"], "venue": "J1", "refs": ["p1", "p3"]}\n'
     '{"id": "p4", "authors": ["bob"], "venue": "", "refs": ["p2", "p3", "p4"]}\n'
 )
+# p2 has no venue, and p4's empty one is none.
+WARNED_VENUELESS = (
+    "warning: 2 paper(s) have no venue: a citation such a paper makes counts as genuine, "
+    "and one it receives counts for no journal"
+)
 
 
 @pytest.mark.parametrize("command", ["metrics", "compare"])
@@ -824,7 +830,7 @@ WARNED_CORPUS = (
             "journal",
             [
                 "warning: stripped 2 self-referencing citation(s)",
-                "warning: 3 citation edge(s) lack venue metadata and were classified genuine",
+                WARNED_VENUELESS,
             ],
         ),
     ],
@@ -840,6 +846,19 @@ def test_corpus_warnings_go_to_the_stderr_of_each_call(command, mode, warnings, 
         assert err.getvalue().splitlines() == warnings
         outputs.append(out.getvalue())
     assert outputs[0] == outputs[1] != ""
+
+
+def test_journal_commands_print_one_venueless_line(tmp_path, capsys):
+    path = tmp_path / "warned.jsonl"
+    path.write_text(WARNED_CORPUS, encoding="utf-8")
+    printed = {}
+    for command in ("metrics", "compare", "validate"):
+        assert main([command, "--input", str(path), "--mode", "journal"]) == EXIT_OK
+        captured = capsys.readouterr()
+        # ``validate`` reports on stdout, the others warn on stderr.
+        lines = (captured.out if command == "validate" else captured.err).splitlines()
+        printed[command] = [line for line in lines if "venue" in line]
+    assert printed == dict.fromkeys(("metrics", "compare", "validate"), [WARNED_VENUELESS])
 
 
 def test_compare_aggregate_input(aggregate_path, capsys):
@@ -1046,8 +1065,13 @@ def test_output_is_the_same_under_every_hash_seed(tmp_path):
     assert len(outputs) == 1
     stdout, stderr = outputs.pop()
     assert stdout.count(b"exit 0\n") == len(argvs)
-    # The corpus is messy enough to warn.
-    assert b"warning: stripped" in stderr and b"lack venue metadata" in stderr
+    # The corpus is messy enough to warn, and journal ``metrics`` and
+    # ``validate`` give its venue-less papers one line.
+    venueless = (
+        b"warning: 6 paper(s) have no venue: a citation such a paper makes counts as genuine, "
+        b"and one it receives counts for no journal\n"
+    )
+    assert b"warning: stripped" in stderr and venueless in stderr and venueless in stdout
 
 
 # ---------------------------------------------------------------------------

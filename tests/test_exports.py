@@ -201,7 +201,7 @@ def test_deleted_names_are_gone(name):
 
 
 def test_deleted_members_are_gone():
-    for name in ("paper", "__len__", "__contains__", "__iter__"):
+    for name in ("paper", "__len__", "__contains__", "__iter__", "missing_venue_edges"):
         assert not hasattr(graph.Corpus, name), name
     assert "mode" not in graph.EntityAggregate._fields
     for name in ("spec", "sqrt", "unity", "linear", "concave", "convex"):

@@ -42,9 +42,9 @@ from vindex.metrics import CitationCounts
 from oracles import (
     author_aggregates_from_jsonl,
     journal_aggregates_from_jsonl,
-    missing_venue_edges_from_jsonl,
     self_citation_fraction_from_jsonl,
     synthetic_corpus_jsonl,
+    venueless_papers_from_jsonl,
 )
 
 
@@ -757,8 +757,8 @@ def test_papers_without_venue_are_not_journal_entities(write_input):
 
 
 def test_journal_mode_warns_about_missing_venues(write_input, handmade):
-    # the CLI warns with this count in journal mode, though only some of the
-    # edges count as genuine
+    # journal mode warns with the number of papers without a venue, counted
+    # once each, whatever their refs
     corpus = ingest_corpus(
         write_input(
             [
@@ -769,14 +769,14 @@ def test_journal_mode_warns_about_missing_venues(write_input, handmade):
             ]
         )
     )
-    # p2->p1, p3->p2, p4->p2 and p4->p3 lack a venue; p3->p1 and the
-    # dangling ref do not count. Into J1, p2->p1 and p4->p3 are genuine and
-    # p3->p1 is self; p3->p2 and p4->p2 cite a venue-less paper, so they
-    # count for no journal.
-    assert corpus.missing_venue_edges == 4
+    # p2 has no venue and p4's empty one is none. Into J1, p2->p1 and
+    # p4->p3 are genuine, as a citation a venue-less paper makes, and p3->p1
+    # is self; p3->p2 and p4->p2 cite a venue-less paper, so they count for
+    # no journal.
+    assert corpus.venueless == 2
     journals = {agg.entity_id: (agg.c, agg.sc) for agg in aggregate_all(corpus, "journal")}
     assert journals == {"J1": (3, 1)}
-    assert handmade.missing_venue_edges == 0
+    assert handmade.venueless == 0
 
 
 def test_author_credit_is_not_double_counted(write_input):
@@ -1022,13 +1022,13 @@ def test_aggregation_matches_the_oracles_on_messy_corpora(write_input, mode):
         assert actual == oracle[mode](text), seed
         if mode == "author":
             assert self_citation_fraction(corpus) == self_citation_fraction_from_jsonl(text), seed
-        assert corpus.missing_venue_edges == missing_venue_edges_from_jsonl(text), seed
+        assert corpus.venueless == venueless_papers_from_jsonl(text), seed
         rebuilt = unshared(corpus)
         assert rebuilt == corpus, seed
         assert entities(rebuilt, mode) == entities(corpus, mode), seed
         if mode == "author":
             assert self_citation_fraction(rebuilt) == self_citation_fraction(corpus), seed
-        assert rebuilt.missing_venue_edges == corpus.missing_venue_edges, seed
+        assert rebuilt.venueless == venueless_papers_from_jsonl(text), seed
 
 
 def test_h_star_never_exceeds_h():
@@ -1497,7 +1497,8 @@ def test_every_source_kind_reads_and_audits_alike(tmp_path):
         warnings=[
             "line 1: paper 'p1' cites itself (1 entry(ies) stripped)",
             "1 reference(s) point outside the corpus and will be ignored",
-            "1 paper(s) have no venue; their citations count as genuine",
+            "1 paper(s) have no venue: a citation such a paper makes counts as genuine, "
+            "and one it receives counts for no journal",
         ],
     )
     assert audit_corpus(corpus, "journal") == audit

@@ -73,7 +73,10 @@ def _check_strict_read_and_cli(path, mode: str) -> None:
             )
         venueless = sum(paper.venue is None for paper in corpus.papers.values())
         if mode == "journal" and venueless:
-            totals.append(f"{venueless} paper(s) have no venue; their citations count as genuine")
+            totals.append(
+                f"{venueless} paper(s) have no venue: a citation such a paper makes counts as "
+                "genuine, and one it receives counts for no journal"
+            )
         stripped = warnings[: len(warnings) - len(totals)]
         assert warnings[len(stripped) :] == totals
         assert len(stripped) == corpus.self_loops

@@ -197,7 +197,7 @@ def test_corpus_output_is_pinned(case, inputs, capsys):
     assert _digest(argv, capsys) == CORPUS_PINS[case]
 
 
-CROSS_VERSION_DIGEST = "8d6b1fa15ca1a4c61a70f5a865be6e3e94c0886565e6b1b58186f1d577e86102"
+CROSS_VERSION_DIGEST = "c7770d0acc361d524f23c633cecc55ce289638f7f26a27d50856016323e09bc4"
 
 
 def test_fuzz_outcomes_are_pinned_across_versions():
