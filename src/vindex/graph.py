@@ -14,12 +14,13 @@ venue has none.
 Each input format is read from a file, given by its path, in one pass:
 ``_corpus_records`` for JSONL and ``_aggregate_rows`` for the aggregate CSV.
 A pass fills the result it is handed with every record it accepts, and
-yields each error with its line. Two policies read each pass: the strict
-readers (``ingest_corpus``, ``read_aggregate_csv``) raise the first error,
-else return what the pass built, and the audits (``audit_corpus``,
-``audit_aggregate``) collect every one. A check and its message are
-therefore written once for both, and its place once, by ``_at`` in the
-policy.
+yields each problem with its line: a bare error, which refuses the line, or
+a warning string. Two policies, one function each, read every pass:
+``_strict`` raises the first error for ``ingest_corpus`` and
+``read_aggregate_csv``, which else return what the pass built, and
+``_audit`` collects every problem for ``audit_corpus`` and
+``audit_aggregate``. A check and its message are thus written once for
+both readers of a format, and a problem's place once in each policy.
 """
 
 from __future__ import annotations
@@ -95,8 +96,8 @@ class Paper(NamedTuple):
 class Corpus:
     """A set of papers keyed by id.
 
-    ``self_loops`` counts the self-references stripped from the refs of its
-    papers when the corpus was read.
+    ``self_loops`` counts the papers whose refs listed their own id, which
+    was stripped when the corpus was read.
     """
 
     __slots__ = ("papers", "self_loops")
@@ -157,12 +158,20 @@ class EntityAggregate(NamedTuple):
 # parsing and serialization
 # ---------------------------------------------------------------------------
 
-def _at(error: VindexError, line: int, source: str | None = None) -> VindexError:
-    """``error``, which holds a bare message, placed at ``line`` of the file
-    named ``source``: the one place an input error gets its location,
-    written before the message as ``[source, ]line N: ``."""
-    where = f"{source}, line {line}" if source else f"line {line}"
-    return type(error)(f"{where}: {error}")
+def _strict(problems: Iterable[tuple[int, VindexError | str]], source: str | Path) -> None:
+    """The strict policy over a pass's problems: raise the first error,
+    placed at the name of the file ``source`` and its line; warnings pass."""
+    for line, problem in problems:
+        if isinstance(problem, VindexError):
+            raise type(problem)(f"{Path(source).name}, line {line}: {problem}")
+
+
+def _audit(problems: Iterable[tuple[int, VindexError | str]], report: AuditReport) -> AuditReport:
+    """The audit policy: each problem, placed at its line, in ``report``'s errors or warnings."""
+    for line, problem in problems:
+        found = report.warnings if type(problem) is str else report.errors
+        found.append(f"line {line}: {problem}")
+    return report
 
 
 def _decode(raw: bytes) -> str:
@@ -179,17 +188,15 @@ def _csv_lines(
     """The lines of a file read as UTF-8 with ``surrogateescape``, for
     ``csv.reader``. A line with an undecodable byte or a NUL, which no CSV
     table the library writes can hold, goes into ``bad`` with its number
-    and on to the reader, undecodable bytes as replacement characters, so
+    and on to the reader, which takes an escaped byte as any character, so
     the reader keeps its place and the caller can reject the row it lands
     in. Each line is also appended to ``record``, emptied at every row."""
     for line_no, text in enumerate(lines, start=1):
         if not text.isascii():
-            raw = text.encode("utf-8", "surrogateescape")
             try:
-                _decode(raw)
+                _decode(text.encode("utf-8", "surrogateescape"))
             except CorpusParseError as exc:
                 bad.append((line_no, exc))
-                text = raw.decode("utf-8", "replace")
         if "\0" in text:
             bad.append((line_no, CorpusParseError("line contains NUL")))
         record.append(text)
@@ -220,9 +227,9 @@ def _refuse_unwritable(paper: Paper) -> None:
             raise CorpusParseError(f"'{what}' holds {held}")
 
 
-def _paper_from_record(record: object, names: dict[str, str]) -> tuple[Paper, int]:
-    """Validate one decoded JSONL record; returns the paper and the number of
-    self-referencing entries stripped from its refs.
+def _paper_from_record(record: object, names: dict[str, str]) -> tuple[Paper, bool]:
+    """Validate one decoded JSONL record; returns the paper and whether a
+    self-reference was stripped from its refs.
 
     Each string is replaced by the first equal one in ``names``, once its
     type is checked, so a pass holds one object per distinct id, author,
@@ -251,11 +258,10 @@ def _paper_from_record(record: object, names: dict[str, str]) -> tuple[Paper, in
     refs = _string_list(record.get("refs", []), "'refs'")
     refs = dict.fromkeys(map(share, refs, refs))
     # Collapsing duplicates leaves at most one self-reference.
-    self_loops = 0
-    if paper_id in refs:
+    looped = paper_id in refs
+    if looped:
         del refs[paper_id]
-        self_loops = 1
-    return Paper(paper_id, authors, venue, year, tuple(refs)), self_loops
+    return Paper(paper_id, authors, venue, year, tuple(refs)), looped
 
 
 # How deep ``json.loads`` nests depends on the Python version (about 1000
@@ -290,17 +296,15 @@ _JSON_REASONS = {
 
 def _corpus_records(
     lines: Iterable[bytes], corpus: Corpus
-) -> Iterator[tuple[int, Paper | None, int, VindexError | None]]:
+) -> Iterator[tuple[int, VindexError | str]]:
     """The one pass over JSONL lines, shared by ``ingest_corpus`` and
-    ``audit_corpus``. It adds each accepted paper to ``corpus``, and the
-    self-references stripped from it to ``corpus.self_loops``. For each line
-    refused or stripped of a self-reference, it yields the line's number,
-    its paper (None if the line does not parse), the number stripped, and
-    the bare error for the policy to place, or None. A duplicate id is one
-    already in ``corpus``; its paper is yielded with the error, so its
-    stripped self-references are still reported. A byte-order mark opening
-    line 1 is dropped, as the CSV pass drops it from its header. Equal
-    strings of the whole pass share one object."""
+    ``audit_corpus``. It adds each accepted paper to ``corpus``, counted in
+    ``corpus.self_loops`` if a self-reference was stripped from it, and
+    yields each line's problems: a warning for a stripped self-reference,
+    a duplicate's too, then any error refusing the line, such as an id
+    already in ``corpus``. A byte-order mark opening line 1 is dropped, as
+    the CSV pass drops it from its header. Equal strings of the whole pass
+    share one object."""
     papers = corpus.papers
     names: dict[str, str] = {}
     for line_no, raw in enumerate(lines, start=1):
@@ -311,11 +315,11 @@ def _corpus_records(
             if not text.strip(" \t\r\n"):
                 continue
             _refuse_deep_nesting(text)
-            paper, loops = _paper_from_record(json.loads(text), names)
+            paper, looped = _paper_from_record(json.loads(text), names)
             if _UNWRITABLE_ESCAPE.search(text):
                 _refuse_unwritable(paper)
         except CorpusParseError as exc:
-            yield line_no, None, 0, exc
+            yield line_no, exc
         except (ValueError, RecursionError) as exc:
             # Besides JSONDecodeError: a plain ValueError for an integer over
             # Python's digit limit, RecursionError for deep nesting.
@@ -323,15 +327,15 @@ def _corpus_records(
                 "nested too deeply" if isinstance(exc, RecursionError) else "integer too long"
             )
             reason = _JSON_REASONS.get(reason, reason)
-            yield line_no, None, 0, CorpusParseError(f"invalid JSON ({reason})")
+            yield line_no, CorpusParseError(f"invalid JSON ({reason})")
         else:
+            if looped:
+                yield line_no, f"paper {paper.id!r} cites itself (1 entry(ies) stripped)"
             # ``setdefault`` adds a new id's paper and keeps a duplicate's first one.
             if papers.setdefault(paper.id, paper) is not paper:
-                error = CorpusIntegrityError(f"duplicate paper id {paper.id!r}")
-                yield line_no, paper, loops, error
-            elif loops:
-                corpus.self_loops += loops
-                yield line_no, paper, loops, None
+                yield line_no, CorpusIntegrityError(f"duplicate paper id {paper.id!r}")
+            elif looped:
+                corpus.self_loops += 1
 
 
 def ingest_corpus(source: str | Path) -> Corpus:
@@ -350,12 +354,9 @@ def ingest_corpus(source: str | Path) -> Corpus:
     author, venue or ref, and a ref to a paper is that paper's id, which is
     also its key in ``papers``.
     """
-    path = Path(source)
     corpus = Corpus({})
-    with open(path, "rb") as lines:
-        for line, _, _, error in _corpus_records(lines, corpus):
-            if error is not None:
-                raise _at(error, line, path.name)
+    with open(Path(source), "rb") as lines:
+        _strict(_corpus_records(lines, corpus), source)
     return corpus
 
 
@@ -595,7 +596,7 @@ def _aggregate_rows(
     """The one pass over aggregate CSV lines, shared by
     ``read_aggregate_csv`` and ``audit_aggregate``: it appends each data
     row's entity and counts to ``rows`` and yields each refused row's line
-    and the bare error that rejects it, for the policy to place. The first
+    and the bare error that rejects it, and no warning. The first
     row is the header. A row is refused for its undecodable or NUL lines,
     or else for its csv error. A refused row ends the pass when it is the
     header, or when its lines end inside a quoted field: the reader starts
@@ -651,11 +652,9 @@ def read_aggregate_csv(source: str | Path) -> list[tuple[str, CitationCounts]]:
     CorpusIntegrityError, each placed at its file name and the line on
     which its row ends.
     """
-    path = Path(source)
     rows: list[tuple[str, CitationCounts]] = []
-    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as lines:
-        for line, error in _aggregate_rows(lines, rows):
-            raise _at(error, line, path.name)
+    with open(Path(source), encoding="utf-8", errors="surrogateescape", newline="") as lines:
+        _strict(_aggregate_rows(lines, rows), source)
     return rows
 
 
@@ -690,15 +689,9 @@ def audit_corpus(source: str | Path, mode: Mode = "author") -> AuditReport:
     without a venue.
     """
     _check_mode(mode)
-    report = AuditReport([], [])
     corpus = Corpus({})
     with open(Path(source), "rb") as lines:
-        for line, paper, loops, error in _corpus_records(lines, corpus):
-            if loops:
-                stripped = f"paper {paper.id!r} cites itself ({loops} entry(ies) stripped)"
-                report.warnings.append(f"line {line}: {stripped}")
-            if error is not None:
-                report.errors.append(str(_at(error, line)))
+        report = _audit(_corpus_records(lines, corpus), AuditReport([], []))
     dangling = corpus.dangling_refs
     if dangling:
         report.warnings.append(
@@ -715,5 +708,4 @@ def audit_aggregate(source: str | Path) -> AuditReport:
     ``read_aggregate_csv`` reads: it collects every error instead of
     raising the first, and its rows go to a sink that keeps none."""
     with open(Path(source), encoding="utf-8", errors="surrogateescape", newline="") as lines:
-        errors = _aggregate_rows(lines, deque(maxlen=0))
-        return AuditReport([str(_at(error, line)) for line, error in errors], [])
+        return _audit(_aggregate_rows(lines, deque(maxlen=0)), AuditReport([], []))
