@@ -330,7 +330,7 @@ def _corpus_records(
             yield line_no, CorpusParseError(f"invalid JSON ({reason})")
         else:
             if looped:
-                yield line_no, f"paper {paper.id!r} cites itself (1 entry(ies) stripped)"
+                yield line_no, f"paper {paper.id!r} cites itself; the reference is stripped"
             # ``setdefault`` adds a new id's paper and keeps a duplicate's first one.
             if papers.setdefault(paper.id, paper) is not paper:
                 yield line_no, CorpusIntegrityError(f"duplicate paper id {paper.id!r}")

@@ -597,9 +597,9 @@ MESSY_REPORT = [
     "error: line 4: duplicate paper id 'p1'",
     "error: line 5: paper 'p5' has no 'authors'",
     "error: line 7: invalid UTF-8 at byte 28 (invalid start byte)",
-    "warning: line 1: paper 'p1' cites itself (1 entry(ies) stripped)",
+    "warning: line 1: paper 'p1' cites itself; the reference is stripped",
     # the duplicate line is rejected, but its self-reference is still reported
-    "warning: line 4: paper 'p1' cites itself (1 entry(ies) stripped)",
+    "warning: line 4: paper 'p1' cites itself; the reference is stripped",
     "warning: 1 reference(s) point outside the corpus and will be ignored",
 ]
 

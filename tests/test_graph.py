@@ -187,7 +187,15 @@ def test_ingest_strips_self_loops_and_warns(write_input):
 
 def test_ingest_strips_one_self_reference_among_duplicates(write_input):
     report = audit_corpus(write_input(['{"id": "p1", "authors": ["a"], "refs": ["p1", "p1"]}']))
-    assert report.warnings == ["line 1: paper 'p1' cites itself (1 entry(ies) stripped)"]
+    assert report.warnings == ["line 1: paper 'p1' cites itself; the reference is stripped"]
+    # three entries are one self-reference, stripped whole, in one warning
+    # that gives no count
+    thrice = write_input(['{"id": "p1", "authors": ["a"], "refs": ["p1", "p1", "p1"]}'])
+    assert audit_corpus(thrice).warnings == [
+        "line 1: paper 'p1' cites itself; the reference is stripped"
+    ]
+    corpus = ingest_corpus(thrice)
+    assert (corpus.papers["p1"].refs, corpus.self_loops) == ((), 1)
     corpus = ingest_corpus(
         write_input(['{"id": "p1", "authors": ["a"], "refs": ["p1", "p1", "x", "p1"]}'])
     )
@@ -524,7 +532,7 @@ def test_readers_refuse_a_raw_lone_surrogate_in_text(tmp_path, write):
     # the audit reports the same error and still reads line 3
     assert audit_corpus(corpus) == AuditReport(
         errors=[error],
-        warnings=["line 3: paper 'p3' cites itself (1 entry(ies) stripped)"],
+        warnings=["line 3: paper 'p3' cites itself; the reference is stripped"],
     )
     lines = [f"{CSV_HEADER}\n", "x\udc80,1,1,0,1\n", "ok,1,1,0,1\n", "sc,5,10,20,3\n"]
     table = write_input("table.csv", lines)
@@ -1495,7 +1503,7 @@ def test_every_source_kind_reads_and_audits_alike(tmp_path):
     audit = AuditReport(
         errors=[duplicate, "line 4: invalid JSON (Expecting property name enclosed in double quotes)"],
         warnings=[
-            "line 1: paper 'p1' cites itself (1 entry(ies) stripped)",
+            "line 1: paper 'p1' cites itself; the reference is stripped",
             "1 reference(s) point outside the corpus and will be ignored",
             "1 paper(s) have no venue: a citation such a paper makes counts as genuine, "
             "and one it receives counts for no journal",

@@ -197,7 +197,7 @@ def test_corpus_output_is_pinned(case, inputs, capsys):
     assert _digest(argv, capsys) == CORPUS_PINS[case]
 
 
-CROSS_VERSION_DIGEST = "c7770d0acc361d524f23c633cecc55ce289638f7f26a27d50856016323e09bc4"
+CROSS_VERSION_DIGEST = "e22f3ba522f88e6457a48353c19fe27f5b4c386c22e2c7db0c6f6022d571f694"
 
 
 def test_fuzz_outcomes_are_pinned_across_versions():
