@@ -19,7 +19,9 @@ hold for every case:
   ``ingest_corpus`` returns: one stripped-self-reference warning for each
   of its ``self_loops``, then the dangling warning giving its
   ``dangling_refs``, and in journal mode the venue-less warning giving the
-  number of its papers without a venue, each absent when its number is 0.
+  number of its papers without a venue, each absent when its number is 0;
+  when it reports one, every self-reference warning names a line that it
+  accepts or refuses only as a duplicate paper id.
 
 The generators are in ``fuzzing.py``. Tier-1 runs a fixed range of
 seeds; ``VINDEX_FUZZ_SEEDS=START:STOP`` runs another range.
@@ -64,6 +66,11 @@ def _check_strict_read_and_cli(path, mode: str) -> None:
     except VindexError as exc:
         assert errors != []
         assert str(exc) == f"{path.name}, {errors[0]}"
+        refused = dict(error.split(": ", 1) for error in errors)
+        for warning in warnings:
+            if "cites itself" in warning:
+                line = warning.split(": ", 1)[0]
+                assert refused.get(line, "duplicate paper id").startswith("duplicate paper id")
     else:
         assert errors == []
         totals = []
