@@ -17,7 +17,7 @@ A pass fills the result it is handed with every record it accepts, and
 yields each problem with its line: a bare error, which refuses the line, or
 a warning string. Two policies, one function each, read every pass:
 ``_strict`` raises the first error for ``ingest_corpus`` and
-``read_aggregate_csv``, which else return what the pass built, and
+``read_aggregate_csv``, which otherwise return what the pass built, and
 ``_audit`` collects every problem for ``audit_corpus`` and
 ``audit_aggregate``. A check and its message are thus written once for
 both readers of a format, and a problem's place once in each policy.
@@ -169,7 +169,7 @@ def _strict(problems: Iterable[tuple[int, VindexError | str]], source: str | Pat
 def _audit(problems: Iterable[tuple[int, VindexError | str]], report: AuditReport) -> AuditReport:
     """The audit policy: each problem, placed at its line, in ``report``'s errors or warnings."""
     for line, problem in problems:
-        found = report.warnings if type(problem) is str else report.errors
+        found = report.errors if isinstance(problem, VindexError) else report.warnings
         found.append(f"line {line}: {problem}")
     return report
 
