@@ -13,6 +13,7 @@ runs out, and 2 on invalid data or usage.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import os
 import sys
@@ -42,6 +43,8 @@ def _emit(text: str, output_path: Path | None) -> None:
     buffer under it, such as ``io.StringIO``, takes the text itself."""
     if output_path is not None:
         output_path.write_bytes(text.encode("utf-8"))
+    elif sys.stdout is None:  # fd 1 was closed when Python started
+        raise OSError(errno.EBADF, "stdout is closed")
     elif hasattr(sys.stdout, "buffer"):
         sys.stdout.flush()
         data = memoryview(text.encode("utf-8"))
@@ -57,8 +60,16 @@ def _emit(text: str, output_path: Path | None) -> None:
         sys.stdout.write(text)
 
 
+def _diagnose(line: str) -> None:
+    """Print ``line`` on stderr. When fd 2 was closed at start,
+    ``sys.stderr`` is None and the line is dropped: ``print`` would send it
+    to stdout."""
+    if sys.stderr is not None:
+        print(line, file=sys.stderr)
+
+
 def _warn(message: str) -> None:
-    print(f"warning: {message}", file=sys.stderr)
+    _diagnose(f"warning: {message}")
 
 
 def _resolve_mode(args: argparse.Namespace) -> graph.Mode:
@@ -125,7 +136,7 @@ def _synth(args: argparse.Namespace) -> int:
     corpus = graph.generate_synthetic_corpus(args.seed, args.papers, args.authors, args.bias)
     _emit(graph.serialize_corpus(corpus), args.output)
     fraction = graph.self_citation_fraction(corpus)
-    print(f"self-citation fraction (author mode): {fraction:.3f}", file=sys.stderr)
+    _diagnose(f"self-citation fraction (author mode): {fraction:.3f}")
     return EXIT_OK
 
 
@@ -273,10 +284,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.run(args)
     except (OSError, VindexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _diagnose(f"error: {exc}")
         return EXIT_READ if isinstance(exc, OSError) else EXIT_DATA
     except MemoryError:
-        print("error: out of memory", file=sys.stderr)
+        _diagnose("error: out of memory")
         return EXIT_READ
 
 

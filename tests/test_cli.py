@@ -1,7 +1,11 @@
 """Tests for the command-line interface.
 
-Everything runs in-process through ``main(argv)`` so we can assert on exit
-codes and captured streams without paying interpreter startup per case.
+The contract cases of the ``vindex`` command, its exit codes, streams and
+written files, are rows of ``tests/cli_cases.py``; ``test_cli_case`` runs
+them. The other tests here run in-process through ``main(argv)``, except
+those that need a process of their own: closed streams, hash seeds and
+what ``import vindex`` loads run ``python -m vindex`` or ``python -c``
+children.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ from pathlib import Path
 
 import pytest
 
+import cli_cases
+import fuzzing
 import vindex
 
 from vindex import cli
@@ -36,6 +42,7 @@ from vindex.graph import (
 from vindex.metrics import WeightFunction
 
 HEADER = ",".join(TABLE_COLUMNS)
+SRC = str(Path(vindex.__file__).resolve().parent.parent)
 
 
 @pytest.fixture()
@@ -55,29 +62,25 @@ def aggregate_path(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# metrics
+# the contract table
 # ---------------------------------------------------------------------------
 
-def test_metrics_corpus_default(corpus_path, capsys):
-    code = main(["metrics", "--input", str(corpus_path)])
-    out = capsys.readouterr().out
-    assert code == EXIT_OK
-    lines = out.splitlines()
-    assert lines[0] == HEADER
-    assert len(lines) == 9  # 8 authors in the pool
-    # h_star is populated for corpus input
-    assert lines[1].split(",")[8] != ""
+@pytest.mark.parametrize("case", cli_cases.CASES, ids=[case.name for case in cli_cases.CASES])
+def test_cli_case(case, tmp_path, monkeypatch):
+    if case.env or case.limit:  # these act on a whole process
+        monkeypatch.setenv("PYTHONPATH", SRC)
+        failures = cli_cases.run(case, [sys.executable, "-m", "vindex"])
+    else:
+        monkeypatch.chdir(tmp_path)
+        cli_cases.write_inputs(case, tmp_path)
+        code, out, err, files = fuzzing.run(case.argv)
+        failures = cli_cases.failures(case, code, out.encode(), err.encode(), dict(files))
+    assert not failures, failures
 
 
-def test_metrics_aggregate_kind(aggregate_path, capsys):
-    code = main(["metrics", "--input", str(aggregate_path), "--kind", "aggregate"])
-    out = capsys.readouterr().out
-    assert code == EXIT_OK
-    lines = out.splitlines()
-    assert lines[0] == HEADER
-    # aggregate input cannot reconstruct h_star, so the cell stays empty
-    assert lines[1].split(",")[8] == ""
-
+# ---------------------------------------------------------------------------
+# metrics
+# ---------------------------------------------------------------------------
 
 def test_metrics_corpus_and_aggregate_agree(corpus_path, aggregate_path, capsys):
     main(["metrics", "--input", str(corpus_path)])
@@ -93,14 +96,6 @@ def test_metrics_corpus_and_aggregate_agree(corpus_path, aggregate_path, capsys)
         return rows
 
     assert drop_h_star(from_corpus) == drop_h_star(from_aggregate)
-
-
-def test_metrics_markdown_format(corpus_path, capsys):
-    code = main(["metrics", "--input", str(corpus_path), "--format", "md"])
-    out = capsys.readouterr().out
-    assert code == EXIT_OK
-    assert out.startswith("| entity_id |")
-    assert "| --- |" in out.splitlines()[1]
 
 
 def test_metrics_markdown_keeps_a_multi_line_entity_on_one_row(tmp_path, capsys):
@@ -131,38 +126,12 @@ def test_metrics_weight_flag(corpus_path, capsys):
         assert v_index == f"{int(h)}.000"
 
 
-def test_metrics_output_file(corpus_path, tmp_path, capsys):
-    target = tmp_path / "table.csv"
-    code = main(["metrics", "--input", str(corpus_path), "--output", str(target)])
-    captured = capsys.readouterr()
-    assert code == EXIT_OK
-    assert captured.out == ""
-    assert target.read_text(encoding="utf-8").splitlines()[0] == HEADER
-
-
 def test_metrics_journal_mode(corpus_path, capsys):
     code = main(["metrics", "--input", str(corpus_path), "--mode", "journal"])
     out = capsys.readouterr().out
     assert code == EXIT_OK
     entities = {line.split(",")[0] for line in out.splitlines()[1:]}
     assert entities <= {f"v{i:02d}" for i in range(1, 7)}
-
-
-def test_metrics_mode_ignored_for_aggregate(aggregate_path, capsys):
-    code = main(
-        ["metrics", "--input", str(aggregate_path), "--kind", "aggregate", "--mode", "journal"]
-    )
-    captured = capsys.readouterr()
-    assert code == EXIT_OK
-    assert "--mode has no effect" in captured.err
-
-
-def test_metrics_missing_file(tmp_path, capsys):
-    code = main(["metrics", "--input", str(tmp_path / "absent.jsonl")])
-    captured = capsys.readouterr()
-    assert code == EXIT_READ
-    assert captured.err.startswith("error:")
-    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["metrics", "compare", "synth"])
@@ -178,22 +147,6 @@ def test_output_that_cannot_be_written_exits_1(command, corpus_path, tmp_path, c
     assert captured.out == ""
     assert re.fullmatch(r"error: \[Errno 2\] [^\n]*\n", captured.err), captured.err
     assert not target.parent.exists()
-
-
-def test_metrics_invalid_aggregate_row(tmp_path, capsys):
-    path = tmp_path / "bad.csv"
-    path.write_text("entity_id,cd,c,sc,h\noffender,5,10,20,3\n", encoding="utf-8")
-    code = main(["metrics", "--input", str(path), "--kind", "aggregate"])
-    captured = capsys.readouterr()
-    assert code == EXIT_DATA
-    assert "offender" in captured.err
-
-
-def test_metrics_bad_weight_spec(corpus_path, capsys):
-    code = main(["metrics", "--input", str(corpus_path), "--weight", "x^1"])
-    captured = capsys.readouterr()
-    assert code == EXIT_DATA
-    assert "error:" in captured.err
 
 
 @pytest.mark.parametrize("command", ["metrics", "compare"])
@@ -270,135 +223,9 @@ def test_any_weight_spec_gives_a_table_or_one_data_error(tmp_path, capsys):
     assert codes == {EXIT_OK, EXIT_DATA}
 
 
-def test_usage_errors_exit_2(capsys):
-    assert main([]) == 2
-    capsys.readouterr()
-    assert main(["frobnicate"]) == 2
-    capsys.readouterr()
-    assert main(["metrics"]) == 2  # --input is required
-    capsys.readouterr()
-    assert main(["metrics", "--input", "x", "--sort", "sideways"]) == 2
-
-
-# Every single-value option of every subcommand given as ``--opt=--``, with
-# the exit code and what the error line must hold (None: no error). Before
-# Python 3.13, argparse read such a value as [] and skipped the option's
-# type and choices. Only what the CLI owns is pinned: argparse's usage text
-# differs by version.
-DOUBLE_DASH_CASES = [
-    *[
-        (command, option, EXIT_DATA, option)
-        for command in ("metrics", "validate", "compare")
-        for option in ("--kind", "--mode")
-    ],
-    *[(command, "--input", EXIT_READ, "'--'") for command in ("metrics", "validate", "compare")],
-    *[(command, "--format", EXIT_DATA, "--format") for command in ("metrics", "compare")],
-    *[(command, "--output", EXIT_OK, None) for command in ("metrics", "compare", "synth")],
-    ("metrics", "--sort", EXIT_DATA, "--sort"),
-    ("metrics", "--weight", EXIT_DATA, "'--'"),
-    ("compare", "--weight", EXIT_DATA, "'--'"),
-    *[
-        ("synth", option, EXIT_DATA, option)
-        for option in ("--seed", "--papers", "--authors", "--bias")
-    ],
-]
-
-
-def _required_argv(command, corpus_path):
-    if command == "synth":
-        return ["synth", "--seed", "1", "--papers", "5", "--authors", "3"]
-    return [command, "--input", str(corpus_path)]
-
-
-@pytest.mark.parametrize(
-    "command, option, expected, fragment",
-    DOUBLE_DASH_CASES,
-    ids=[f"{command} {option}=--" for command, option, *_ in DOUBLE_DASH_CASES],
-)
-def test_double_dash_value_is_read_as_itself(
-    command, option, expected, fragment, corpus_path, tmp_path, monkeypatch, capsys
-):
-    monkeypatch.chdir(tmp_path)  # ``--output=--`` writes a file named ``--``
-    argv = _required_argv(command, corpus_path)
-    if (command, option) == ("compare", "--weight"):
-        argv += ["--weight", "sqrt"]
-    # An option given again, as ``--opt=--``, overrides its value before.
-    code = main([*argv, f"{option}=--"])
-    captured = capsys.readouterr()
-    assert code == expected, captured.err
-    if fragment is None:
-        assert (tmp_path / "--").read_text(encoding="utf-8") and captured.out == ""
-    else:
-        (line,) = [line for line in captured.err.splitlines() if "error: " in line]
-        assert fragment in line.partition("error: ")[2], line
-
-
-# Every path option of every subcommand. ``Path("")`` is the directory ``.``,
-# so an empty value was read as ``.`` and failed with ``[Errno 21] Is a
-# directory: '.'`` (exit 1), naming a path that was never given.
-EMPTY_PATH_CASES = [
-    *[(command, "--input") for command in ("metrics", "validate", "compare")],
-    *[(command, "--output") for command in ("metrics", "compare", "synth")],
-]
-
-
-@pytest.mark.parametrize("form", ["=", " "], ids=["equals", "separate"])
-@pytest.mark.parametrize(
-    "command, option",
-    EMPTY_PATH_CASES,
-    ids=[f"{command} {option}" for command, option in EMPTY_PATH_CASES],
-)
-def test_empty_path_value_is_a_usage_error(
-    command, option, form, corpus_path, tmp_path, monkeypatch, capsys
-):
-    monkeypatch.chdir(tmp_path)
-    value = [f"{option}="] if form == "=" else [option, ""]
-    code = main([*_required_argv(command, corpus_path), *value])
-    captured = capsys.readouterr()
-    assert (code, captured.out) == (EXIT_DATA, "")
-    assert captured.err.splitlines()[-1] == (
-        f"vindex {command}: error: argument {option}: expected a path, got an empty value"
-    )
-    assert os.listdir(tmp_path) == [corpus_path.name]  # nothing written
-
-
-def test_help_exits_zero(capsys):
-    assert main(["--help"]) == 0
-    assert "metrics" in capsys.readouterr().out
-
-
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
-
-def test_validate_clean_corpus(corpus_path, capsys):
-    code = main(["validate", "--input", str(corpus_path)])
-    out = capsys.readouterr().out
-    assert code == EXIT_OK
-    assert "0 error(s), 0 warning(s)" in out
-
-
-def test_validate_duplicate_ids(tmp_path, capsys):
-    path = tmp_path / "dup.jsonl"
-    path.write_text(
-        '{"id": "d1", "authors": ["a"]}\n{"id": "d1", "authors": ["b"]}\n', encoding="utf-8"
-    )
-    code = main(["validate", "--input", str(path)])
-    out = capsys.readouterr().out
-    assert code == EXIT_DATA
-    assert "d1" in out
-    assert "1 error(s)" in out
-
-
-def test_validate_warnings_keep_exit_zero(tmp_path, capsys):
-    path = tmp_path / "warn.jsonl"
-    path.write_text('{"id": "p1", "authors": ["a"], "refs": ["ghost"]}\n', encoding="utf-8")
-    code = main(["validate", "--input", str(path)])
-    out = capsys.readouterr().out
-    assert code == EXIT_OK
-    assert "warning:" in out
-    assert "1 warning(s)" in out
-
 
 def test_validate_aggregate(aggregate_path, tmp_path, capsys):
     assert main(["validate", "--input", str(aggregate_path), "--kind", "aggregate"]) == EXIT_OK
@@ -650,75 +477,14 @@ def test_validate_reports_every_problem_of_a_messy_aggregate(tmp_path, capsys):
     ]
 
 
-def test_validate_missing_file(tmp_path, capsys):
-    code = main(["validate", "--input", str(tmp_path / "absent.csv")])
-    assert code == EXIT_READ
-
-
 # ---------------------------------------------------------------------------
 # synth
 # ---------------------------------------------------------------------------
-
-def test_synth_writes_corpus_to_stdout(capsys):
-    code = main(["synth", "--seed", "4", "--papers", "12", "--authors", "5"])
-    captured = capsys.readouterr()
-    assert code == EXIT_OK
-    lines = captured.out.splitlines()
-    assert len(lines) == 12
-    for line in lines:
-        record = json.loads(line)
-        assert record["id"].startswith("p")
-    assert "self-citation fraction" in captured.err
-
-
-def test_synth_output_file(tmp_path, capsys):
-    target = tmp_path / "synth.jsonl"
-    code = main(
-        ["synth", "--seed", "4", "--papers", "12", "--authors", "5", "--output", str(target)]
-    )
-    captured = capsys.readouterr()
-    assert code == EXIT_OK
-    assert captured.out == ""
-    assert len(target.read_text(encoding="utf-8").splitlines()) == 12
-
 
 def test_synth_matches_library(capsys):
     main(["synth", "--seed", "31", "--papers", "20", "--authors", "6", "--bias", "0.8"])
     out = capsys.readouterr().out
     assert out == serialize_corpus(generate_synthetic_corpus(31, 20, 6, 0.8))
-
-
-def test_synth_rejects_bad_parameters(capsys):
-    assert main(["synth", "--seed", "1", "--papers", "0", "--authors", "3"]) == EXIT_DATA
-    capsys.readouterr()
-    assert (
-        main(["synth", "--seed", "1", "--papers", "5", "--authors", "3", "--bias", "1.5"])
-        == EXIT_DATA
-    )
-
-
-def test_synth_out_of_memory_is_one_error_line():
-    # A --papers count that parses but cannot fit: the list of paper ids
-    # outgrows an address-space limit set in the child only.
-    resource = pytest.importorskip("resource")
-
-    def cap_memory():
-        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-        resource.setrlimit(resource.RLIMIT_AS, (256 * 2**20, hard))
-
-    src = str(Path(vindex.__file__).resolve().parent.parent)
-    done = subprocess.run(
-        [sys.executable, "-m", "vindex", "synth", "--seed", "1", "--papers", str(10**12),
-         "--authors", "2"],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True,
-        preexec_fn=cap_memory,
-        timeout=120,
-        check=False,
-    )
-    assert (done.returncode, done.stdout, done.stderr) == (
-        EXIT_READ, b"", b"error: out of memory\n"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -747,20 +513,6 @@ def test_compare_identical_weights_yield_zero_deltas(corpus_path, capsys):
     assert code == EXIT_OK
     for line in out.splitlines()[1:]:
         assert line.endswith(",0")
-
-
-def test_compare_needs_exactly_two_weights(corpus_path, capsys):
-    code = main(["compare", "--input", str(corpus_path), "--weight", "sqrt"])
-    captured = capsys.readouterr()
-    assert code == EXIT_DATA
-    assert "exactly two" in captured.err
-
-
-def test_compare_markdown(corpus_path, capsys):
-    code = main(["compare", "--input", str(corpus_path), "--format", "md"])
-    out = capsys.readouterr().out
-    assert code == EXIT_OK
-    assert out.startswith("| entity_id | rank_a | rank_b | delta |")
 
 
 def write_aggregate_from_golden(golden_rows, path):
@@ -848,19 +600,6 @@ def test_corpus_warnings_go_to_the_stderr_of_each_call(command, mode, warnings, 
     assert outputs[0] == outputs[1] != ""
 
 
-def test_journal_commands_print_one_venueless_line(tmp_path, capsys):
-    path = tmp_path / "warned.jsonl"
-    path.write_text(WARNED_CORPUS, encoding="utf-8")
-    printed = {}
-    for command in ("metrics", "compare", "validate"):
-        assert main([command, "--input", str(path), "--mode", "journal"]) == EXIT_OK
-        captured = capsys.readouterr()
-        # ``validate`` reports on stdout, the others warn on stderr.
-        lines = (captured.out if command == "validate" else captured.err).splitlines()
-        printed[command] = [line for line in lines if "venue" in line]
-    assert printed == dict.fromkeys(("metrics", "compare", "validate"), [WARNED_VENUELESS])
-
-
 def test_compare_aggregate_input(aggregate_path, capsys):
     code = main(
         [
@@ -909,46 +648,14 @@ def test_repeated_calls_in_one_process_are_independent(corpus_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# stdout encoding
+# closed streams
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
-def test_stdout_is_utf8_whatever_its_encoding(encoding, tmp_path):
-    corpus = tmp_path / "names.jsonl"
-    corpus.write_text(
-        '{"id": "p1", "authors": ["Müller"], "venue": "Zürich"}\n'
-        '{"id": "p2", "authors": ["Ødegård", "Müller"], "refs": ["p1"]}\n',
-        encoding="utf-8",
-    )
-    duplicate = tmp_path / "duplicate.jsonl"
-    duplicate.write_text('{"id": "ü", "authors": ["a"]}\n' * 2, encoding="utf-8")
-    src = str(Path(vindex.__file__).resolve().parent.parent)
-
-    def run(argv, io_encoding):
-        env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING=io_encoding)
-        command = [sys.executable, "-m", "vindex", *argv]
-        return subprocess.run(command, env=env, capture_output=True, check=False)
-
-    for argv, code, text in [
-        (["metrics", "--input", str(corpus)], EXIT_OK, "Ødegård"),
-        (["compare", "--input", str(corpus)], EXIT_OK, "Müller"),
-        (["validate", "--input", str(duplicate)], EXIT_DATA, "duplicate paper id 'ü'"),
-    ]:
-        utf8 = run(argv, "utf-8")
-        assert utf8.returncode == code and text in utf8.stdout.decode("utf-8")
-        other = run(argv, encoding)
-        assert (other.returncode, other.stdout) == (code, utf8.stdout), other.stderr
-        if argv[0] != "validate":
-            output = tmp_path / "output.csv"
-            assert run([*argv, "--output", str(output)], encoding).returncode == code
-            assert output.read_bytes() == utf8.stdout
-
 
 def _stdout_env(unbuffered: bool) -> dict[str, str]:
     """The environment of a ``python -m vindex`` child: buffered stdout is
     the default, and ``PYTHONUNBUFFERED=1`` writes to the pipe at once."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = str(Path(vindex.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = SRC
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     return env
@@ -976,6 +683,49 @@ def test_a_closed_stdout_pipe_is_one_error_line_and_exit_1(command, unbuffered, 
     assert done.returncode == EXIT_READ
     # One line, with no "Exception ignored" report from the final flush.
     assert done.stderr == b"error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("command", ["metrics", "validate", "synth", "compare"])
+def test_a_closed_stdout_is_one_error_line_and_exit_1(command, corpus_path):
+    # With fd 1 closed when the child starts, ``sys.stdout`` is None.
+    argv = [command, "--input", str(corpus_path)]
+    if command == "synth":
+        argv = [command, "--seed", "1", "--papers", "5", "--authors", "3"]
+    done = subprocess.run(
+        [sys.executable, "-m", "vindex", *argv],
+        env=_stdout_env(False),
+        capture_output=True,
+        preexec_fn=lambda: os.close(1),
+        check=False,
+    )
+    assert (done.returncode, done.stderr) == (EXIT_READ, b"error: [Errno 9] stdout is closed\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "synth --seed 1 --papers 2 --authors 2",
+        "metrics --input self.jsonl --output out.csv",
+        "metrics --input missing.jsonl",
+    ],
+)
+def test_a_closed_stderr_changes_neither_stdout_nor_the_exit_code(argv, tmp_path):
+    # With fd 2 closed, ``sys.stderr`` is None, and ``print`` sends what it
+    # is given for None to stdout: the fraction line, a warning, an error.
+    (tmp_path / "self.jsonl").write_text('{"id": "p1", "authors": ["a"], "refs": ["p1"]}\n')
+    opened, closed = (
+        subprocess.run(
+            [sys.executable, "-m", "vindex", *argv.split()],
+            cwd=tmp_path,
+            env=_stdout_env(False),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            preexec_fn=preexec_fn,
+            check=False,
+        )
+        for preexec_fn in (None, lambda: os.close(2))
+    )
+    assert (closed.returncode, closed.stdout) == (opened.returncode, opened.stdout)
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])
@@ -1054,10 +804,9 @@ def test_output_is_the_same_under_every_hash_seed(tmp_path):
         [command, "--input", str(aggregate), "--kind", "aggregate"]
         for command in ("metrics", "compare", "validate")
     ]
-    src = str(Path(vindex.__file__).resolve().parent.parent)
     outputs = set()
     for seed in range(4):
-        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))
+        env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=str(seed))
         command = [sys.executable, "-c", RUN_EACH, json.dumps(argvs)]
         done = subprocess.run(command, env=env, capture_output=True, check=False)
         assert done.returncode == 0, done.stderr
@@ -1083,8 +832,7 @@ def test_import_loads_no_numpy_or_scipy():
     # nor statistics and the fractions it pulls in, which batch_stats imports
     # when called; nor decimal and its numbers, which only fmt3's near-ties need;
     # nor dataclasses and the inspect it pulls in: the records are named tuples
-    src = str(Path(vindex.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC)
     absent = (
         "numpy", "scipy", "logging", "statistics", "fractions", "decimal", "numbers",
         "dataclasses", "inspect",
