@@ -82,6 +82,16 @@ def test_cli_case(case, tmp_path, monkeypatch):
 # metrics
 # ---------------------------------------------------------------------------
 
+def test_metrics_aggregate_kind(aggregate_path, capsys):
+    code = main(["metrics", "--input", str(aggregate_path), "--kind", "aggregate"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[0] == HEADER
+    # aggregate input cannot reconstruct h_star, so the cell stays empty
+    assert lines[1].split(",")[8] == ""
+
+
 def test_metrics_corpus_and_aggregate_agree(corpus_path, aggregate_path, capsys):
     main(["metrics", "--input", str(corpus_path)])
     from_corpus = capsys.readouterr().out
@@ -132,6 +142,23 @@ def test_metrics_journal_mode(corpus_path, capsys):
     assert code == EXIT_OK
     entities = {line.split(",")[0] for line in out.splitlines()[1:]}
     assert entities <= {f"v{i:02d}" for i in range(1, 7)}
+
+
+def test_metrics_mode_ignored_for_aggregate(aggregate_path, capsys):
+    code = main(
+        ["metrics", "--input", str(aggregate_path), "--kind", "aggregate", "--mode", "journal"]
+    )
+    captured = capsys.readouterr()
+    assert code == EXIT_OK
+    assert "--mode has no effect" in captured.err
+
+
+def test_metrics_missing_file(tmp_path, capsys):
+    code = main(["metrics", "--input", str(tmp_path / "absent.jsonl")])
+    captured = capsys.readouterr()
+    assert code == EXIT_READ
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["metrics", "compare", "synth"])
@@ -475,6 +502,11 @@ def test_validate_reports_every_problem_of_a_messy_aggregate(tmp_path, capsys):
         "error: line 11: invalid UTF-8 at byte 3 (invalid start byte)",
         "9 error(s), 0 warning(s)",
     ]
+
+
+def test_validate_missing_file(tmp_path, capsys):
+    code = main(["validate", "--input", str(tmp_path / "absent.csv")])
+    assert code == EXIT_READ
 
 
 # ---------------------------------------------------------------------------
